@@ -5,7 +5,13 @@ compute dimensionless-group bases, solve and chain monomial scaling
 relations, fit power laws to data in log space with covariates and
 diagnostics, and run a casebook of classic worked predictions behind a
 command-line interface.
+
+The names served by ``regression``, ``csvio`` and ``svgplot`` are loaded on
+first use: those modules import numpy, and derivations, pi-group bases and
+the casebook do not need it.
 """
+
+from importlib import import_module as _import_module
 
 from .algebra import (
     DimMatrix,
@@ -27,7 +33,6 @@ from .casebook import (
     roast_time,
     terminal_velocity_scale,
 )
-from .csvio import dump_csv, load_csv, save_csv
 from .errors import (
     CapacityError,
     CollinearityError,
@@ -41,17 +46,6 @@ from .errors import (
     UnderdeterminedError,
     UnknownUnitError,
 )
-from .regression import (
-    DataSet,
-    FitResult,
-    ModelSpec,
-    fit_power_law,
-    fit_quadratic_log,
-    fit_with_covariates,
-    residual_distance_ratio,
-    transform_under_unit_change,
-)
-from .svgplot import PlotSpec, emit_svg_plot
 from .units import (
     Dimension,
     Quantity,
@@ -65,3 +59,41 @@ from .units import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY_MODULES = ("csvio", "regression", "svgplot")
+_LAZY = {
+    **dict.fromkeys(("dump_csv", "load_csv", "save_csv"), "csvio"),
+    **dict.fromkeys(
+        (
+            "DataSet",
+            "FitResult",
+            "ModelSpec",
+            "fit_power_law",
+            "fit_quadratic_log",
+            "fit_with_covariates",
+            "residual_distance_ratio",
+            "transform_under_unit_change",
+        ),
+        "regression",
+    ),
+    **dict.fromkeys(("PlotSpec", "emit_svg_plot"), "svgplot"),
+}
+
+__all__ = sorted(
+    [name for name in globals() if not name.startswith("_")]
+    + [*_LAZY_MODULES, *_LAZY]
+)
+
+
+def __getattr__(name: str):
+    # No caching in this module's globals: every lookup reads the defining
+    # module's current binding, so a name patched there is seen here too.
+    if name in _LAZY_MODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

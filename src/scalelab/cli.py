@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .algebra import pi_basis, solve_target_exponents
 from .casebook import (
@@ -28,19 +29,13 @@ from .casebook import (
     roast_report,
     yield_report,
 )
-from .csvio import atomic_write, load_csv
 from .errors import QuantityParseError, ScaleLabError, UnderdeterminedError
-from .regression import (
-    FitResult,
-    ModelSpec,
-    fit_power_law,
-    fit_quadratic_log,
-    fit_with_covariates,
-    residual_distance_ratio,
-    transform_under_unit_change,
-)
-from .svgplot import PlotSpec, emit_svg_plot
 from .units import Quantity, default_registry, parse_quantity
+
+# csvio, regression and svgplot import numpy: the handlers that need them
+# import them locally, so derive, pi and predict start without it.
+if TYPE_CHECKING:
+    from .regression import FitResult
 
 __all__ = ["run_command", "main"]
 
@@ -183,6 +178,9 @@ def _add_fit_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_with_spec(args, quadratic: bool = False, covariates=()):
+    from .csvio import load_csv
+    from .regression import ModelSpec
+
     registry = default_registry()
     ds = load_csv(args.csv, registry)
     x0 = registry.resolve(args.x0) if args.x0 else ds.column(args.x).unit
@@ -236,6 +234,8 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .regression import fit_power_law, fit_quadratic_log, fit_with_covariates
+
     _, ds, spec = _load_with_spec(args, args.quadratic, args.covariate)
     if args.quadratic:
         result = fit_quadratic_log(ds, spec)
@@ -251,12 +251,16 @@ def _cmd_fit(args) -> int:
 
 
 def _fit_for_diagnosis(ds, spec) -> FitResult:
+    from .regression import fit_power_law, fit_quadratic_log
+
     if spec.include_quadratic:
         return fit_quadratic_log(ds, spec)
     return fit_power_law(ds, spec)
 
 
 def _cmd_unit_change(args) -> int:
+    from .regression import ModelSpec, transform_under_unit_change
+
     registry, ds, spec = _load_with_spec(args, args.quadratic)
     fit = _fit_for_diagnosis(ds, spec)
     new_x0 = registry.resolve(args.new_x0)
@@ -293,6 +297,8 @@ def _cmd_unit_change(args) -> int:
 def _cmd_residuals(args) -> int:
     if len(args.row) != 2:
         raise _UsageError("--row must be given exactly twice (rows A and B)", "")
+    from .regression import fit_power_law, residual_distance_ratio
+
     _, ds, spec = _load_with_spec(args)
     fit = fit_power_law(ds, spec)
     x_col = ds.column(spec.predictor)
@@ -393,6 +399,9 @@ def _cmd_fall(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .csvio import atomic_write
+    from .svgplot import PlotSpec, emit_svg_plot
+
     _, ds, spec = _load_with_spec(args, args.quadratic)
     fit = None
     if args.fit_line:

@@ -16,6 +16,8 @@ import re
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
 from .regression import DataSet
 from .units import UnitRegistry, default_registry
@@ -62,8 +64,8 @@ def _content_lines(text: str):
 def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     """Load a unit-annotated CSV file into a DataSet.
 
-    Any unparseable or ragged row aborts the load with its file line
-    number; a file with a header but no data rows is an error.
+    Any unparseable, non-finite or ragged row aborts the load with its
+    file line number; a file with a header but no data rows is an error.
     """
     registry = registry or default_registry()
     try:
@@ -100,12 +102,22 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     if not columns[0]:
         raise DataError(f"{path!r} has no data rows")
 
-    return DataSet(
+    ds = DataSet(
         {
             name: (values, unit)
             for name, values, unit in zip(schema.names, columns, units)
         }
     )
+    for name in schema.names:
+        values = ds.column(name).values
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DataError(
+                f"line {lines[1 + row][0]}, column {name!r}: "
+                f"{float(values[row])!r} is not a finite number"
+            )
+    return ds
 
 
 def dump_csv(ds: DataSet) -> str:
@@ -124,17 +136,24 @@ def dump_csv(ds: DataSet) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temporary file and rename."""
+    """Write text to path via a temporary file and rename.
+
+    A path that cannot be written, such as one in a missing directory,
+    raises DataError naming it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def save_csv(ds: DataSet, path: str) -> None:

@@ -119,7 +119,12 @@ class CovariateCoefficient(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Coefficients, standard errors, fit quality, and the reference units
-    that fix what the coefficients mean."""
+    that fix what the coefficients mean.
+
+    ``residual_scale`` is the largest log response magnitude plus, for each
+    coefficient, the largest magnitude of its term in the design; the
+    rounding error of the residuals, and so of their sum, scales with it.
+    """
 
     alpha: float
     beta: float
@@ -133,13 +138,21 @@ class FitResult:
     p: int
     reference_units: ModelSpec
     coefficient_covariance: np.ndarray
+    residual_scale: float
     dropped_covariates: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.r_squared <= 1.0:
             raise DataError(f"r_squared {self.r_squared} outside [0, 1]")
-        if abs(float(self.residuals_log.sum())) > 1e-9:
-            raise DataError("residuals do not sum to zero; intercept fit failed")
+        # With an intercept the residuals sum to zero up to the forward
+        # error of computing and adding n of them; written so NaN fails.
+        total = float(self.residuals_log.sum())
+        bound = 16 * self.n * np.finfo(float).eps * self.residual_scale
+        if not abs(total) <= bound:
+            raise DataError(
+                f"residuals sum to {total:.3g}, beyond the rounding bound "
+                f"{bound:.3g}; intercept fit failed"
+            )
         self.residuals_log.setflags(write=False)
         self.coefficient_covariance.setflags(write=False)
 
@@ -314,6 +327,9 @@ def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
 
     design = np.column_stack(columns)
     coef, covariance, residuals = _solve_ols(design, y, labels)
+    residual_scale = float(
+        np.abs(y).max() + np.abs(design).max(axis=0) @ np.abs(coef)
+    )
     rss = float(residuals @ residuals)
     tss = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
@@ -346,6 +362,7 @@ def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
         p=p,
         reference_units=spec,
         coefficient_covariance=covariance,
+        residual_scale=residual_scale,
         dropped_covariates=tuple(dropped),
     )
 
@@ -441,6 +458,7 @@ def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResul
         p=fit.p,
         reference_units=replace(spec, predictor_reference=new_reference),
         coefficient_covariance=covariance,
+        residual_scale=fit.residual_scale,
         dropped_covariates=fit.dropped_covariates,
     )
 

@@ -268,7 +268,11 @@ class Quantity:
                 f"cannot raise negative quantity {self} to fractional power {k}"
             )
         dim = self.dimension ** k
-        return Quantity(self.si_value ** float(k), coherent_unit(dim))
+        try:
+            magnitude = self.si_value ** float(k)
+        except OverflowError:
+            raise DataError(f"{self} to the power {k} overflows a float") from None
+        return Quantity(magnitude, coherent_unit(dim))
 
     def ratio(self, other: Quantity) -> float:
         """Dimensionless ratio of two commensurable quantities."""

@@ -89,6 +89,13 @@ def test_header_without_unit_rejected(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_cell_reports_line_and_column(tmp_path, cell):
+    path = write(tmp_path, "nonfinite.csv", f"x[m],y[m]\n1,2\n# note\n3,{cell}\n5,6\n")
+    with pytest.raises(DataError, match="line 4, column 'y'.*not a finite number"):
+        load_csv(path)
+
+
 def test_empty_data_rejected(tmp_path):
     path = write(tmp_path, "empty.csv", "x[m],y[m]\n")
     with pytest.raises(DataError, match="no data rows"):
@@ -331,6 +338,22 @@ def test_fit_command_data_error_exits_2(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def test_fit_command_non_finite_covariate_exits_2(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "boats.csv",
+        "length[m],price[GBP],age[yr]\n10,100,1\n20,400,nan\n30,900,3\n"
+        "40,1600,4\n50,2500,5\n",
+    )
+    code = run_command(
+        ["fit", "--csv", path, "--x", "length", "--y", "price", "--covariate", "age"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "line 3, column 'age'" in captured.err
+
+
 def test_fit_command_incommensurable_x0_exits_2(tmp_path, capsys):
     path = square_law_csv(tmp_path)
     code = run_command(
@@ -450,6 +473,25 @@ def test_predict_dimension_error_exits_2(capsys):
          "--ref-time", "1 hr"]
     )
     assert code == 2
+
+
+def test_predict_blast_overflow_exits_2(capsys):
+    code = run_command(
+        ["predict", "blast", "--energy", "1e300 J", "--time", "1e200 s"]
+    )
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_plot_command_unwritable_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "p.svg"
+    code = run_command(
+        ["plot", "--csv", square_law_csv(tmp_path), "--x", "x", "--y", "y",
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert f"cannot write {str(out)!r}" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_plot_command_quadratic_curve(tmp_path, capsys):

@@ -1,0 +1,96 @@
+"""Commands that need no fitting must start without importing numpy.
+
+numpy is already loaded in the test process, so each command runs in a
+fresh interpreter that reports its exit code and whether numpy was
+imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import scalelab
+import scalelab.regression
+
+SRC = str(Path(scalelab.__file__).resolve().parents[1])
+DATA_DIR = Path(__file__).parent / "data"
+
+RUN_COMMAND = """
+from scalelab.cli import run_command
+code = run_command(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a new interpreter; return its last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + script, *args],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["derive", "--target", "v:m s^-1", "--params", "g:m s^-2,l:m"], 0),
+        (["pi", "--quantities", "E:J,t:s,rho:kg m^-3,r:m"], 0),
+        (["predict", "blast", "--energy", "8e13 J", "--time", "0.025 s"], 0),
+        (["predict", "blast", "--obs", "133 m @ 0.025 s", "--json"], 0),
+        (["predict", "roast", "--mass", "5 kg", "--ref-mass", "1 kg",
+          "--ref-time", "1 hr"], 0),
+        (["predict", "hull", "--length", "25 ft"], 0),
+        (["predict", "fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg",
+          "--mass", "20 g"], 0),
+        (["derive", "--target", "E:J", "--params", "l:m,t:s"], 2),
+    ],
+    ids=["derive", "pi", "blast", "blast-obs", "roast", "hull", "fall", "error"],
+)
+def test_command_runs_without_numpy(argv, expected_code):
+    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (expected_code, False)
+
+
+def test_fit_command_imports_numpy():
+    # The control case: the probe does see numpy when a command loads it.
+    argv = ["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length",
+            "--y", "price"]
+    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True)
+
+
+def test_import_scalelab_defers_numpy_until_a_lazy_name_is_used():
+    script = """
+import scalelab
+before = "numpy" in sys.modules
+scalelab.csvio.load_csv
+print(json.dumps([before, "numpy" in sys.modules]))
+"""
+    assert run_fresh(script) == (False, True)
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    from scalelab import DataSet, PlotSpec, fit_power_law, load_csv
+
+    assert fit_power_law is scalelab.regression.fit_power_law
+    assert DataSet is scalelab.regression.DataSet
+    assert load_csv.__module__ == "scalelab.csvio"
+    assert PlotSpec.__module__ == "scalelab.svgplot"
+
+
+def test_lazy_exports_are_listed():
+    names = dir(scalelab)
+    for name in scalelab._LAZY:
+        assert name in names
+        assert name in scalelab.__all__
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        scalelab.no_such_name  # noqa: B018

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -469,3 +470,32 @@ def test_residuals_sum_to_zero_with_intercept():
         ds, ModelSpec("price", GBP, "length", FT, covariates=(("age", YR),))
     )
     assert abs(float(fit.residuals_log.sum())) < 1e-9
+
+
+def test_broken_intercept_is_caught():
+    x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    fit = fit_power_law(power_law_dataset(x, 3 * x**2.5), plain_spec())
+    with pytest.raises(DataError, match="intercept fit failed"):
+        dataclasses.replace(fit, residuals_log=fit.residuals_log + 1e-9)
+
+
+def test_nan_residuals_are_caught():
+    x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+    fit = fit_power_law(power_law_dataset(x, 3 * x**2.5), plain_spec())
+    residuals = fit.residuals_log.copy()
+    residuals[2] = np.nan
+    with pytest.raises(DataError, match="intercept fit failed"):
+        dataclasses.replace(fit, residuals_log=residuals)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_valid_large_magnitude_fit_passes_the_residual_check(seed):
+    # log magnitudes near 60 over 2e5 rows: the residual sum's rounding
+    # error exceeds any fixed absolute tolerance such as 1e-9.
+    rng = np.random.default_rng(seed)
+    n = 200_000
+    u = rng.uniform(55.0, 65.0, n)
+    log_y = 60.0 + 1.5 * (u - 60.0) + rng.normal(0.0, 0.3, n)
+    fit = fit_power_law(power_law_dataset(np.exp(u), np.exp(log_y)), plain_spec())
+    assert fit.beta == pytest.approx(1.5, abs=1e-2)
+    transform_under_unit_change(fit, FT)  # checks the same residuals again

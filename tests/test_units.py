@@ -265,3 +265,8 @@ def test_log_ratio_reference_shift_is_constant(magnitude, s1, s2):
 def test_quantity_pow_negative_base_fractional_exponent():
     with pytest.raises(DataError):
         parse_quantity("-4 m") ** Fraction(1, 2)
+
+
+def test_quantity_pow_overflow_is_a_data_error():
+    with pytest.raises(DataError, match="overflows"):
+        parse_quantity("1e200 s") ** 2
