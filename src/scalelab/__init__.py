@@ -53,7 +53,6 @@ from .units import (
     UnitRegistry,
     convert,
     default_registry,
-    dim_combine,
     log_ratio,
     parse_quantity,
 )

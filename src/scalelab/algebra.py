@@ -2,8 +2,9 @@
 
 Solves for the unique exponent combination that builds a target dimension
 from a parameter list, computes bases of dimensionless groups, and solves
-and chains monomial scaling relations.  No floating point is involved
-anywhere: the elimination is fraction-free (Bareiss) over integers obtained
+and chains monomial scaling relations.  No floating point is involved in
+a derivation (only :meth:`ScalingRelation.evaluate` touches magnitudes):
+the elimination is fraction-free (Bareiss) over integers obtained
 by clearing denominators row by row, and back-substitution works in exact
 fractions.
 
@@ -23,7 +24,7 @@ from .errors import (
     RelationError,
     UnderdeterminedError,
 )
-from .units import Dimension, _as_exponent
+from .units import DIMENSIONLESS, Dimension, Quantity, _as_exponent, coherent_unit
 
 __all__ = [
     "DimMatrix",
@@ -89,6 +90,23 @@ class ScalingRelation:
 
     def render(self) -> str:
         return f"{self.target} ~ {_render_terms(self.exponents, self.exponents.values())}"
+
+    def evaluate(self, bindings: Mapping[str, Quantity], prefactor=1.0) -> Quantity:
+        """``prefactor`` times each bound quantity raised to its exponent.
+
+        The prefactor is a number or a quantity; the result's dimension is
+        the prefactor's plus the exponent-weighted sum of the bound
+        dimensions, as quantity arithmetic works it out.
+        """
+        unbound = [name for name in self.exponents if name not in bindings]
+        if unbound:
+            raise RelationError(
+                f"cannot evaluate {self.render()!r}: no value for {', '.join(unbound)}"
+            )
+        result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
+        for name, exp in self.exponents.items():
+            result = bindings[name] ** exp * result
+        return result
 
     def __str__(self) -> str:
         return self.render()

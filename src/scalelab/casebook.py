@@ -3,9 +3,10 @@
 Each case here is a classic of dimensional analysis: the blast-wave radius
 grown from an energy release, roasting time against mass, displacement-hull
 speed against waterline length, terminal velocity against body mass, and
-the surface-area route to metabolic scaling.  Every case re-derives its
-exponents at run time from the dimension solver and refuses to run if the
-hard-coded formula has drifted from what the dimensions force.
+the surface-area route to metabolic scaling.  No case writes its formula
+out by hand: each derives its relation through the dimension solver, once
+per process and on first use, and evaluates that relation on its checked
+inputs, so a prediction always uses the exponents the dimensions force.
 
 Dimensionless prefactors are case-level constants, reported with each
 prediction and never stored in relations.  The blast constant defaults to
@@ -14,6 +15,7 @@ prediction and never stored in relations.  The blast constant defaults to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +26,7 @@ from .errors import DataError, DimensionMismatchError
 from .units import (
     ACCELERATION,
     DENSITY,
+    DIMENSIONLESS,
     ENERGY,
     LENGTH,
     MASS,
@@ -31,6 +34,7 @@ from .units import (
     VELOCITY,
     Dimension,
     Quantity,
+    coherent_unit,
     convert,
     default_registry,
     parse_quantity,
@@ -54,6 +58,7 @@ __all__ = [
 ]
 
 STANDARD_GRAVITY = parse_quantity("9.80665 m s^-2")
+_ONE = Quantity(1.0, coherent_unit(DIMENSIONLESS))
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,7 @@ class BlastConfig:
     def __post_init__(self):
         if not self.prefactor > 0:
             raise DataError(f"blast prefactor must be positive, got {self.prefactor}")
-        if self.rho.dimension != DENSITY:
-            raise DimensionMismatchError(self.rho.dimension, DENSITY, "blast density")
-        if not self.rho.si_value > 0:
-            raise DataError(f"blast density must be positive, got {self.rho}")
+        _check_inputs((self.rho, DENSITY, "blast density"))
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,7 @@ class CaseReport:
         if self.prediction.unit.scale == 1.0:
             si = self.prediction
         else:
-            si = convert(
-                self.prediction, default_registry().coherent_unit(self.output_dimension)
-            )
+            si = convert(self.prediction, coherent_unit(self.output_dimension))
         lines.append(f"  prediction: {si}")
         if self.display is not None and self.display.unit != si.unit:
             lines.append(f"              = {self.display}")
@@ -118,47 +118,38 @@ class CaseReport:
         return "\n".join(lines)
 
 
-def _require_exponents(relation: ScalingRelation, expected: dict[str, Fraction]) -> None:
-    if relation.exponents != expected:
-        raise RuntimeError(
-            f"derivation drift: solver produced {relation.render()}, "
-            f"formula encodes {expected}"
-        )
+def _check_inputs(*rows: tuple[Quantity, Dimension, str]) -> None:
+    """Each ``(quantity, dimension, what)`` row must have that dimension and
+    a positive value; every dimension is checked before any sign."""
+    for quantity, dimension, what in rows:
+        if quantity.dimension != dimension:
+            raise DimensionMismatchError(quantity.dimension, dimension, what)
+    for quantity, _, what in rows:
+        if not quantity.si_value > 0:
+            raise DataError(f"{what} must be positive, got {quantity}")
 
 
-def _require_dimension(q: Quantity, dim: Dimension, what: str) -> None:
-    if q.dimension != dim:
-        raise DimensionMismatchError(q.dimension, dim, what)
-
-
-def _require_positive(q: Quantity, what: str) -> None:
-    if not q.si_value > 0:
-        raise DataError(f"{what} must be positive, got {q}")
-
-
+@functools.cache
 def _blast_relation() -> ScalingRelation:
-    relation = solve_target_exponents(
+    return solve_target_exponents(
         LENGTH,
         [("E", ENERGY), ("rho", DENSITY), ("t", TIME)],
         target_name="r",
     )
-    _require_exponents(
-        relation,
-        {"E": Fraction(1, 5), "rho": Fraction(-1, 5), "t": Fraction(2, 5)},
-    )
-    return relation
+
+
+@functools.cache
+def _yield_relation() -> ScalingRelation:
+    """The blast relation solved for the energy, with the prefactor C as a term."""
+    return solve_balance({"r": 1}, {"C": 1, **_blast_relation().exponents}, "E")
 
 
 def blast_radius(cfg: BlastConfig, energy: Quantity, t: Quantity) -> Quantity:
     """Blast-wave radius r = C (E t^2 / rho)^(1/5), dimension checked."""
-    _require_dimension(energy, ENERGY, "blast energy")
-    _require_dimension(t, TIME, "blast time")
-    _require_positive(energy, "blast energy")
-    _require_positive(t, "blast time")
-    _blast_relation()
-    radius = (energy * t**2 / cfg.rho) ** Fraction(1, 5) * cfg.prefactor
-    _require_dimension(radius, LENGTH, "blast radius result")
-    return radius
+    _check_inputs((energy, ENERGY, "blast energy"), (t, TIME, "blast time"))
+    return _blast_relation().evaluate(
+        {"E": energy, "rho": cfg.rho, "t": t}, cfg.prefactor
+    )
 
 
 def blast_yield(
@@ -172,54 +163,48 @@ def blast_yield(
     """
     if not observations:
         raise DataError("blast_yield needs at least one (radius, time) observation")
-    _blast_relation()
+    relation = _yield_relation()
+    prefactor = _ONE * cfg.prefactor
     log_sum = 0.0
-    joule = default_registry().symbol("J")
     for radius, t in observations:
-        _require_dimension(radius, LENGTH, "observed radius")
-        _require_dimension(t, TIME, "observed time")
-        _require_positive(radius, "observed radius")
-        _require_positive(t, "observed time")
-        energy = cfg.rho * radius**5 / (t**2 * cfg.prefactor**5)
-        _require_dimension(energy, ENERGY, "blast yield result")
+        _check_inputs((radius, LENGTH, "observed radius"), (t, TIME, "observed time"))
+        energy = relation.evaluate(
+            {"r": radius, "C": prefactor, "rho": cfg.rho, "t": t}
+        )
         log_sum += math.log(energy.si_value)
+    joule = default_registry().symbol("J")
     return Quantity(math.exp(log_sum / len(observations)), joule)
 
 
-_ROAST_EXPONENT = Fraction(2, 3)
-
-
+@functools.cache
 def _roast_relation() -> ScalingRelation:
     diffusivity = Dimension(length=Fraction(2), time=Fraction(-1))
     time_vs_size = solve_target_exponents(
         TIME, [("kappa", diffusivity), ("l", LENGTH)], target_name="t"
     )
-    _require_exponents(time_vs_size, {"kappa": Fraction(-1), "l": Fraction(2)})
-    size_vs_mass = solve_balance({"m": 1}, {"l": 3}, "l")
-    relation = chain(time_vs_size, size_vs_mass)
-    _require_exponents(relation, {"kappa": Fraction(-1), "m": _ROAST_EXPONENT})
-    return relation
+    return chain(time_vs_size, solve_balance({"m": 1}, {"l": 3}, "l"))
 
 
 def roast_time(m: Quantity, m_ref: Quantity, t_ref: Quantity) -> Quantity:
-    """Cooking time scaled from a reference bird: t = t_ref (m/m_ref)^(2/3)."""
-    _require_dimension(m, MASS, "mass")
-    _require_dimension(m_ref, MASS, "reference mass")
-    _require_dimension(t_ref, TIME, "reference time")
-    _require_positive(m, "mass")
-    _require_positive(m_ref, "reference mass")
-    _require_positive(t_ref, "reference time")
-    _roast_relation()
-    ratio = m.ratio(m_ref)
-    return Quantity(t_ref.magnitude * ratio ** float(_ROAST_EXPONENT), t_ref.unit)
+    """Cooking time scaled from a reference bird: t = t_ref (m/m_ref)^(2/3).
+
+    Both birds share the diffusivity kappa, so it enters as 1 and the mass
+    as its ratio to the reference; the answer is in the reference's unit.
+    """
+    _check_inputs(
+        (m, MASS, "mass"),
+        (m_ref, MASS, "reference mass"),
+        (t_ref, TIME, "reference time"),
+    )
+    t = _roast_relation().evaluate({"kappa": _ONE, "m": m / m_ref}, t_ref)
+    return convert(t, t_ref.unit)
 
 
+@functools.cache
 def _hull_relation() -> ScalingRelation:
-    relation = solve_target_exponents(
+    return solve_target_exponents(
         VELOCITY, [("g", ACCELERATION), ("l", LENGTH)], target_name="v"
     )
-    _require_exponents(relation, {"g": Fraction(1, 2), "l": Fraction(1, 2)})
-    return relation
 
 
 def hull_speed(length: Quantity) -> Quantity:
@@ -229,24 +214,16 @@ def hull_speed(length: Quantity) -> Quantity:
     waterline, and a deep-water wave of wavelength l travels at
     sqrt(g l / 2 pi); the 1/(2 pi) is the case's dimensionless prefactor.
     """
-    _require_dimension(length, LENGTH, "waterline length")
-    _require_positive(length, "waterline length")
-    _hull_relation()
-    speed = (STANDARD_GRAVITY * length / (2.0 * math.pi)) ** Fraction(1, 2)
-    _require_dimension(speed, VELOCITY, "hull speed result")
-    return speed
+    _check_inputs((length, LENGTH, "waterline length"))
+    return _hull_relation().evaluate(
+        {"g": STANDARD_GRAVITY, "l": length}, 1.0 / math.sqrt(2.0 * math.pi)
+    )
 
 
-_FALL_EXPONENT = Fraction(1, 6)
-
-
+@functools.cache
 def _fall_relation() -> ScalingRelation:
     speed_vs_size = solve_balance({"l": 2, "v": 2}, {"l": 3}, "v")
-    _require_exponents(speed_vs_size, {"l": Fraction(1, 2)})
-    size_vs_mass = solve_balance({"m": 1}, {"l": 3}, "l")
-    relation = chain(speed_vs_size, size_vs_mass)
-    _require_exponents(relation, {"m": _FALL_EXPONENT})
-    return relation
+    return chain(speed_vs_size, solve_balance({"m": 1}, {"l": 3}, "l"))
 
 
 def terminal_velocity_scale(
@@ -256,17 +233,15 @@ def terminal_velocity_scale(
 
     Drag grows with cross-section (l^2) and speed squared while weight grows
     with volume (l^3); balancing them gives v ~ l^(1/2) ~ m^(1/6) for
-    geometrically similar bodies.
+    geometrically similar bodies.  The answer is in the reference's unit.
     """
-    _require_dimension(v_ref, VELOCITY, "reference speed")
-    _require_dimension(m_ref, MASS, "reference mass")
-    _require_dimension(m, MASS, "mass")
-    _require_positive(v_ref, "reference speed")
-    _require_positive(m_ref, "reference mass")
-    _require_positive(m, "mass")
-    _fall_relation()
-    ratio = m.ratio(m_ref)
-    return Quantity(v_ref.magnitude * ratio ** float(_FALL_EXPONENT), v_ref.unit)
+    _check_inputs(
+        (v_ref, VELOCITY, "reference speed"),
+        (m_ref, MASS, "reference mass"),
+        (m, MASS, "mass"),
+    )
+    v = _fall_relation().evaluate({"m": m / m_ref}, v_ref)
+    return convert(v, v_ref.unit)
 
 
 def kleiber_chain_demo() -> tuple[ScalingRelation, ScalingRelation]:
@@ -279,9 +254,7 @@ def kleiber_chain_demo() -> tuple[ScalingRelation, ScalingRelation]:
     """
     surface = ScalingRelation("s", {"l": 2})
     isometric = chain(surface, solve_balance({"m": 1}, {"l": 3}, "l"))
-    _require_exponents(isometric, {"m": Fraction(2, 3)})
     allometric = chain(surface, solve_balance({"m": 1}, {"l": Fraction(8, 3)}, "l"))
-    _require_exponents(allometric, {"m": Fraction(3, 4)})
     return isometric, allometric
 
 

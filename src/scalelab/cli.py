@@ -412,7 +412,6 @@ def _cmd_plot(args) -> int:
         x_reference=spec.predictor_reference,
         y_reference=spec.response_reference,
         show_fit=args.fit_line,
-        output_path=args.out,
     )
     svg = emit_svg_plot(ds, fit, plot_spec)
     atomic_write(args.out, svg)

@@ -292,6 +292,30 @@ def _solve_ols(design: np.ndarray, y: np.ndarray, labels: Sequence[str]):
     return coef, covariance, residuals
 
 
+def _coefficient_fields(
+    coef: np.ndarray,
+    covariance: np.ndarray,
+    quadratic: bool,
+    covariate_names: Sequence[str],
+) -> dict[str, object]:
+    """FitResult's coefficient and standard-error fields from a coefficient
+    vector and its covariance, both in design order: alpha, beta, then
+    gamma if ``quadratic``, then one delta per covariate."""
+    stderr = np.sqrt(np.diag(covariance))
+    first_covariate = 3 if quadratic else 2
+    return {
+        "alpha": float(coef[0]),
+        "beta": float(coef[1]),
+        "se_beta": float(stderr[1]),
+        "gamma": float(coef[2]) if quadratic else None,
+        "se_gamma": float(stderr[2]) if quadratic else None,
+        "covariate_coefficients": tuple(
+            CovariateCoefficient(name, float(coef[i]), float(stderr[i]))
+            for i, name in enumerate(covariate_names, start=first_covariate)
+        ),
+    }
+
+
 def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     y = _log_ratio_column(ds, spec.response, spec.response_reference, "response")
     u = _log_ratio_column(ds, spec.predictor, spec.predictor_reference, "predictor")
@@ -335,27 +359,10 @@ def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
     r_squared = float(min(1.0, max(0.0, r_squared)))
 
-    stderr = np.sqrt(np.diag(covariance))
-    position = 2
-    gamma = se_gamma = None
-    if spec.include_quadratic:
-        gamma = float(coef[2])
-        se_gamma = float(stderr[2])
-        position = 3
-    covariate_coefficients = []
-    for name in kept_covariates:
-        covariate_coefficients.append(
-            CovariateCoefficient(name, float(coef[position]), float(stderr[position]))
-        )
-        position += 1
-
     return FitResult(
-        alpha=float(coef[0]),
-        beta=float(coef[1]),
-        se_beta=float(stderr[1]),
-        gamma=gamma,
-        se_gamma=se_gamma,
-        covariate_coefficients=tuple(covariate_coefficients),
+        **_coefficient_fields(
+            coef, covariance, spec.include_quadratic, kept_covariates
+        ),
         r_squared=r_squared,
         residuals_log=residuals,
         n=ds.n,
@@ -428,30 +435,13 @@ def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResul
 
     coef = transform @ fit.coefficient_vector()
     covariance = transform @ fit.coefficient_covariance @ transform.T
-    stderr = np.sqrt(np.diag(covariance))
-
-    position = 2
-    gamma = se_gamma = None
-    if fit.gamma is not None:
-        gamma = float(coef[2])
-        se_gamma = float(stderr[2])
-        position = 3
-    covariates = []
-    for old_coef in fit.covariate_coefficients:
-        covariates.append(
-            CovariateCoefficient(
-                old_coef.name, float(coef[position]), float(stderr[position])
-            )
-        )
-        position += 1
-
     return FitResult(
-        alpha=float(coef[0]),
-        beta=float(coef[1]),
-        se_beta=float(stderr[1]),
-        gamma=gamma,
-        se_gamma=se_gamma,
-        covariate_coefficients=tuple(covariates),
+        **_coefficient_fields(
+            coef,
+            covariance,
+            fit.gamma is not None,
+            [c.name for c in fit.covariate_coefficients],
+        ),
         r_squared=fit.r_squared,
         residuals_log=fit.residuals_log.copy(),
         n=fit.n,

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DataError
-from .regression import DataSet, FitResult
+from .regression import DataSet, FitResult, _log_ratio_column
 from .units import Unit
 
 __all__ = ["PlotSpec", "emit_svg_plot", "plot_maps"]
@@ -38,30 +36,12 @@ class PlotSpec:
     x_reference: Unit
     y_reference: Unit
     show_fit: bool = False
-    output_path: str = ""
 
     def x_label(self) -> str:
         return f"log({self.x}/{self.x_reference.symbol})"
 
     def y_label(self) -> str:
         return f"log({self.y}/{self.y_reference.symbol})"
-
-
-def _log_values(ds: DataSet, name: str, reference: Unit) -> np.ndarray:
-    col = ds.column(name)
-    if col.unit.dimension != reference.dimension:
-        raise DataError(
-            f"column {name!r} is not commensurable with reference "
-            f"{reference.symbol!r}"
-        )
-    ratios = col.values * (col.unit.scale / reference.scale)
-    bad = np.nonzero(~(ratios > 0))[0]
-    if bad.size:
-        raise DataError(
-            f"column {name!r}, row {int(bad[0])}: cannot plot non-positive "
-            f"value {col.values[int(bad[0])]} on a log axis"
-        )
-    return np.log(ratios)
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -71,15 +51,10 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def plot_maps(
-    ds: DataSet, spec: PlotSpec
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """The affine data-to-pixel maps used by :func:`emit_svg_plot`.
-
-    Exposed so tests and tooling can invert emitted coordinates.
-    """
-    u = _log_values(ds, spec.x, spec.x_reference)
-    v = _log_values(ds, spec.y, spec.y_reference)
+def _layout(ds: DataSet, spec: PlotSpec):
+    """Log values of both columns, their padded ranges, and the pixel maps."""
+    u = _log_ratio_column(ds, spec.x, spec.x_reference, "x")
+    v = _log_ratio_column(ds, spec.y, spec.y_reference, "y")
     ulo, uhi = _padded(float(u.min()), float(u.max()))
     vlo, vhi = _padded(float(v.min()), float(v.max()))
     x_span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -91,6 +66,17 @@ def plot_maps(
     def y_map(value: float) -> float:
         return HEIGHT - MARGIN_BOTTOM - (value - vlo) / (vhi - vlo) * y_span
 
+    return u, v, (ulo, uhi), (vlo, vhi), x_map, y_map
+
+
+def plot_maps(
+    ds: DataSet, spec: PlotSpec
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """The affine data-to-pixel maps used by :func:`emit_svg_plot`.
+
+    Exposed so tests and tooling can invert emitted coordinates.
+    """
+    *_, x_map, y_map = _layout(ds, spec)
     return x_map, y_map
 
 
@@ -116,11 +102,7 @@ def emit_svg_plot(ds: DataSet, fit: FitResult | None, spec: PlotSpec) -> str:
                 "fit was produced from different columns or reference units "
                 "than the plot requests"
             )
-    u = _log_values(ds, spec.x, spec.x_reference)
-    v = _log_values(ds, spec.y, spec.y_reference)
-    x_map, y_map = plot_maps(ds, spec)
-    ulo, uhi = _padded(float(u.min()), float(u.max()))
-    vlo, vhi = _padded(float(v.min()), float(v.max()))
+    u, v, (ulo, uhi), (vlo, vhi), x_map, y_map = _layout(ds, spec)
 
     out = []
     out.append(

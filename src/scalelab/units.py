@@ -53,7 +53,6 @@ __all__ = [
     "DENSITY",
     "ENERGY",
     "POWER",
-    "dim_combine",
     "parse_quantity",
     "convert",
     "log_ratio",
@@ -156,11 +155,6 @@ ACCELERATION = Dimension(length=Fraction(1), time=Fraction(-2))
 DENSITY = Dimension(mass=Fraction(1), length=Fraction(-3))
 ENERGY = Dimension(mass=Fraction(1), length=Fraction(2), time=Fraction(-2))
 POWER = Dimension(mass=Fraction(1), length=Fraction(2), time=Fraction(-3))
-
-
-def dim_combine(a: Dimension, b: Dimension, exponent_on_b=1) -> Dimension:
-    """Combine two dimensions: ``a + exponent_on_b * b``, exact."""
-    return a.combine(b, exponent_on_b)
 
 
 # Coherent base symbols used when arithmetic has to synthesise a unit for an
@@ -285,7 +279,7 @@ class Quantity:
 
 
 class UnitRegistry:
-    """Mapping of unit symbols to units, plus the coherent base per dimension.
+    """Mapping of unit symbols to units.
 
     Build once, then treat as read-only; :meth:`register` raises on duplicate
     symbols so a registry's meaning cannot drift.
@@ -293,7 +287,6 @@ class UnitRegistry:
 
     def __init__(self):
         self._units: dict[str, Unit] = {}
-        self._base: dict[str, Unit] = {}
 
     def register(self, symbol: str, dimension: Dimension, scale: float) -> Unit:
         if symbol in self._units:
@@ -304,12 +297,6 @@ class UnitRegistry:
             )
         unit = Unit(symbol, dimension, scale)
         self._units[symbol] = unit
-        return unit
-
-    def register_base(self, symbol: str, dimension: Dimension) -> Unit:
-        """Register a scale-1 unit and mark it as the base of its dimension."""
-        unit = self.register(symbol, dimension, 1.0)
-        self._base[str(dimension)] = unit
         return unit
 
     def __contains__(self, symbol: str) -> bool:
@@ -345,9 +332,6 @@ class UnitRegistry:
         if len(tokens) == 1 and normalized[0] in self._units:
             return self._units[normalized[0]]
         return Unit(" ".join(normalized), dim, scale)
-
-    def coherent_unit(self, dimension: Dimension) -> Unit:
-        return coherent_unit(dimension)
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
@@ -420,11 +404,11 @@ def default_registry() -> UnitRegistry:
     to their own registry.
     """
     reg = UnitRegistry()
-    reg.register_base("kg", MASS)
-    reg.register_base("m", LENGTH)
-    reg.register_base("s", TIME)
-    reg.register_base("K", TEMPERATURE)
-    reg.register_base("GBP", CURRENCY)
+    reg.register("kg", MASS, 1.0)
+    reg.register("m", LENGTH, 1.0)
+    reg.register("s", TIME, 1.0)
+    reg.register("K", TEMPERATURE, 1.0)
+    reg.register("GBP", CURRENCY, 1.0)
 
     reg.register("g", MASS, 1e-3)
     reg.register("ft", LENGTH, 0.3048)

@@ -28,9 +28,13 @@ from scalelab.units import (
     TIME,
     VELOCITY,
     Dimension,
+    Quantity,
+    default_registry,
+    parse_quantity,
 )
 
 F = Fraction
+REG = default_registry()
 
 KAPPA = Dimension(length=F(2), time=F(-1))       # thermal diffusivity
 VISCOSITY = Dimension(mass=F(1), length=F(-1), time=F(-1))
@@ -190,6 +194,48 @@ def test_relation_rejects_self_reference():
         ScalingRelation("x", {"x": 2})
     # the lone exception: the identity relation, used for no-op chaining
     assert ScalingRelation.identity("x").is_identity
+
+
+def test_evaluate_requires_every_term_bound():
+    relation = ScalingRelation("v", {"g": F(1, 2), "l": F(1, 2)})
+    with pytest.raises(RelationError, match="no value for l"):
+        relation.evaluate({"g": parse_quantity("9.8 m s^-2")})
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            st.sampled_from(["kg", "m", "s", "J", "m/s", "kg m^-3"]),
+            st.floats(min_value=0.1, max_value=10.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_evaluate_dimension_is_the_exponent_weighted_sum(terms, prefactor):
+    relation = ScalingRelation(
+        "y", {f"q{i}": exp for i, (exp, _, _) in enumerate(terms)}
+    )
+    bindings = {
+        f"q{i}": Quantity(value, REG.resolve(unit))
+        for i, (_, unit, value) in enumerate(terms)
+    }
+    expected = Dimension()
+    for name, exp in relation.exponents.items():
+        expected = expected.combine(bindings[name].dimension, exp)
+    result = relation.evaluate(bindings, prefactor)
+    assert result.dimension == expected
+    magnitude = prefactor
+    for name, exp in relation.exponents.items():
+        magnitude *= bindings[name].si_value ** float(exp)
+    assert result.si_value == pytest.approx(magnitude, rel=1e-12)
+
+
+def test_evaluate_identity_returns_the_binding():
+    q = parse_quantity("3 ft")
+    assert ScalingRelation.identity("x").evaluate({"x": q}) == q.in_si()
 
 
 # ---------------------------------------------------------------------------

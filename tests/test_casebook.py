@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import scalelab.casebook as cb
 from scalelab.casebook import (
     STANDARD_GRAVITY,
     BlastConfig,
@@ -283,13 +284,107 @@ def test_standard_gravity_value():
     assert STANDARD_GRAVITY.si_value == pytest.approx(9.80665, rel=1e-15)
 
 
-def test_formula_drift_is_caught_at_run_time(monkeypatch):
-    # Each case re-derives its exponents from the solver; a formula constant
-    # that no longer matches the derivation must refuse to run.
-    import scalelab.casebook as cb
+# ---------------------------------------------------------------------------
+# predictions are derived relations, evaluated
 
-    monkeypatch.setattr(cb, "_ROAST_EXPONENT", Fraction(3, 4))
-    with pytest.raises(RuntimeError, match="drift"):
-        roast_time(
-            parse_quantity("5 kg"), parse_quantity("1 kg"), parse_quantity("1 hr")
-        )
+J, M_UNIT, KG, G_UNIT, FT = (REG.symbol(u) for u in ("J", "m", "kg", "g", "ft"))
+
+# (relation builder, its exponents, the varied term, prediction as a function
+# of the varied input's magnitude, a base magnitude)
+DERIVED_CASES = {
+    "blast": (
+        cb._blast_relation,
+        {"E": Fraction(1, 5), "rho": Fraction(-1, 5), "t": Fraction(2, 5)},
+        "E",
+        lambda e: blast_radius(
+            BlastConfig(), Quantity(e, J), parse_quantity("0.025 s")
+        ),
+        8e13,
+    ),
+    "yield": (
+        cb._yield_relation,
+        {"r": 5, "C": -5, "rho": 1, "t": -2},
+        "r",
+        lambda r: blast_yield(
+            BlastConfig(prefactor=1.07),
+            [(Quantity(r, M_UNIT), parse_quantity("0.025 s"))],
+        ),
+        133.0,
+    ),
+    "roast": (
+        cb._roast_relation,
+        {"kappa": -1, "m": Fraction(2, 3)},
+        "m",
+        lambda m: roast_time(
+            Quantity(m, KG), parse_quantity("1 kg"), parse_quantity("1 hr")
+        ),
+        5.0,
+    ),
+    "hull": (
+        cb._hull_relation,
+        {"g": Fraction(1, 2), "l": Fraction(1, 2)},
+        "l",
+        lambda length: hull_speed(Quantity(length, FT)),
+        25.0,
+    ),
+    "fall": (
+        cb._fall_relation,
+        {"m": Fraction(1, 6)},
+        "m",
+        lambda m: terminal_velocity_scale(
+            parse_quantity("150 mph"), parse_quantity("200 kg"), Quantity(m, G_UNIT)
+        ),
+        20.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DERIVED_CASES))
+def test_prediction_scales_by_its_derived_exponent(case):
+    relation, exponents, varied, predict, x = DERIVED_CASES[case]
+    assert relation().exponents == exponents
+    k = 3.7
+    ratio = predict(k * x).si_value / predict(x).si_value
+    assert ratio == pytest.approx(k ** float(relation().exponents[varied]), rel=1e-12)
+
+
+REPORTS = {
+    "blast": lambda: blast_report(
+        BlastConfig(), parse_quantity("8e13 J"), parse_quantity("0.025 s")
+    ),
+    "yield": lambda: yield_report(
+        BlastConfig(), [(parse_quantity("133 m"), parse_quantity("0.025 s"))]
+    ),
+    "roast": lambda: roast_report(
+        parse_quantity("5 kg"), parse_quantity("1 kg"), parse_quantity("1 hr")
+    ),
+    "hull": lambda: hull_report(parse_quantity("25 ft")),
+    "fall": lambda: fall_report(
+        parse_quantity("150 mph"), parse_quantity("200 kg"), parse_quantity("20 g")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORTS))
+def test_each_relation_is_derived_once_per_process(monkeypatch, case):
+    for relation, *_ in DERIVED_CASES.values():
+        relation.cache_clear()
+    calls = []
+
+    def counting(name):
+        solver = getattr(cb, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("solve_target_exponents", "solve_balance", "chain"):
+        monkeypatch.setattr(cb, name, counting(name))
+    REPORTS[case]()
+    derived = len(calls)
+    REPORTS[case]()
+    REPORTS[case]()
+    assert derived > 0 and len(calls) == derived
+    assert all(r.cache_info().misses <= 1 for r, *_ in DERIVED_CASES.values())

@@ -475,10 +475,19 @@ def test_predict_dimension_error_exits_2(capsys):
     assert code == 2
 
 
-def test_predict_blast_overflow_exits_2(capsys):
+def test_predict_blast_huge_inputs_give_a_finite_radius(capsys):
+    # Each factor of C E^1/5 rho^-1/5 t^2/5 is raised on its own, so inputs
+    # whose product E t^2 would overflow still give the finite radius.
     code = run_command(
         ["predict", "blast", "--energy", "1e300 J", "--time", "1e200 s"]
     )
+    assert code == 0
+    assert "prediction: 9.64193e+139 m" in capsys.readouterr().out
+
+
+def test_predict_blast_overflow_exits_2(capsys):
+    # The yield needs r^5, which overflows a float for r = 1e100 m.
+    code = run_command(["predict", "blast", "--obs", "1e100 m @ 1 s"])
     assert code == 2
     assert "overflows" in capsys.readouterr().err
 

@@ -75,6 +75,18 @@ print(json.dumps([before, "numpy" in sys.modules]))
     assert run_fresh(script) == (False, True)
 
 
+def test_import_scalelab_derives_no_case_relation():
+    # Case relations are derived on first use, not by every process that
+    # imports the package.
+    script = """
+import scalelab.casebook as cb
+builders = (cb._blast_relation, cb._yield_relation, cb._roast_relation,
+            cb._hull_relation, cb._fall_relation)
+print(json.dumps([b.cache_info().currsize for b in builders]))
+"""
+    assert run_fresh(script) == (0, 0, 0, 0, 0)
+
+
 def test_lazy_exports_resolve_to_their_modules():
     from scalelab import DataSet, PlotSpec, fit_power_law, load_csv
 

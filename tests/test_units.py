@@ -27,7 +27,6 @@ from scalelab.units import (
     UnitRegistry,
     convert,
     default_registry,
-    dim_combine,
     log_ratio,
     parse_quantity,
 )
@@ -36,21 +35,21 @@ REG = default_registry()
 
 
 # ---------------------------------------------------------------------------
-# dim_combine
+# Dimension.combine
 
 def test_energy_over_density_cancels_mass():
     # [E] = M L^2 T^-2, [rho] = M L^-3; E/rho has dimensions L^5 T^-2
-    combined = dim_combine(ENERGY, DENSITY, -1)
+    combined = ENERGY.combine(DENSITY, -1)
     assert combined == Dimension(length=Fraction(5), time=Fraction(-2))
 
 
 def test_combine_with_zero_vector_is_identity():
     d = Dimension(mass=Fraction(1, 3), time=Fraction(-2))
-    assert dim_combine(d, DIMENSIONLESS, 1) == d
+    assert d.combine(DIMENSIONLESS, 1) == d
 
 
 def test_combine_adds_componentwise():
-    assert dim_combine(ACCELERATION, LENGTH, 1) == Dimension(
+    assert ACCELERATION.combine(LENGTH, 1) == Dimension(
         length=Fraction(2), time=Fraction(-2)
     )
 
@@ -59,7 +58,7 @@ def test_combine_overflow_is_reported():
     big = Fraction(2**30, 1)
     d = Dimension(mass=big)
     with pytest.raises(CapacityError):
-        dim_combine(d, d, 2**30)
+        d.combine(d, 2**30)
 
 
 def test_float_exponents_are_rejected():
@@ -217,13 +216,13 @@ dimensions = st.builds(
 
 @given(dimensions, dimensions, dimensions)
 def test_dimension_combine_is_associative_and_commutative(a, b, c):
-    assert dim_combine(dim_combine(a, b), c) == dim_combine(a, dim_combine(b, c))
-    assert dim_combine(a, b) == dim_combine(b, a)
+    assert a.combine(b).combine(c) == a.combine(b.combine(c))
+    assert a.combine(b) == b.combine(a)
 
 
 @given(dimensions)
 def test_dimension_inverse(d):
-    assert dim_combine(d, d, -1) == DIMENSIONLESS
+    assert d.combine(d, -1) == DIMENSIONLESS
 
 
 positive_reals = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
