@@ -8,6 +8,13 @@ the elimination is fraction-free (Bareiss) over integers obtained
 by clearing denominators row by row, and back-substitution works in exact
 fractions.
 
+Both derivations run the same path: echelon the dimension matrix, then
+back-substitute with the free columns fixed.  A target dimension ``t`` is
+one more column of the augmented matrix ``[A | t]``: if ``t`` becomes a
+pivot the target is impossible; if fewer than ``n`` pivots fall in ``A``
+there are ``n - rank`` free directions; otherwise fixing the target's
+exponent at -1 leaves the unique exponents ``x`` of ``A x = t``.
+
 Everything here is a pure function over immutable values.
 """
 
@@ -24,7 +31,14 @@ from .errors import (
     RelationError,
     UnderdeterminedError,
 )
-from .units import DIMENSIONLESS, Dimension, Quantity, _as_exponent, coherent_unit
+from .units import (
+    DIMENSIONLESS,
+    Dimension,
+    Quantity,
+    _as_exponent,
+    _render_monomial,
+    coherent_unit,
+)
 
 __all__ = [
     "DimMatrix",
@@ -36,19 +50,6 @@ __all__ = [
     "chain",
     "check_exponent_bound",
 ]
-
-
-def _format_exponent(exp: Fraction) -> str:
-    return str(exp.numerator) if exp.denominator == 1 else str(exp)
-
-
-def _render_terms(names: Iterable[str], exponents: Iterable[Fraction]) -> str:
-    parts = []
-    for name, exp in zip(names, exponents):
-        if exp == 0:
-            continue
-        parts.append(name if exp == 1 else f"{name}^{_format_exponent(exp)}")
-    return " ".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ class ScalingRelation:
         return self.exponents == {self.target: Fraction(1)}
 
     def render(self) -> str:
-        return f"{self.target} ~ {_render_terms(self.exponents, self.exponents.values())}"
+        terms = _render_monomial(self.exponents, self.exponents.values())
+        return f"{self.target} ~ {terms}"
 
     def evaluate(self, bindings: Mapping[str, Quantity], prefactor=1.0) -> Quantity:
         """``prefactor`` times each bound quantity raised to its exponent.
@@ -137,9 +139,7 @@ class PiGroup:
             )
 
     def render(self) -> str:
-        return "pi: " + _render_terms(
-            self.names, (Fraction(e) for e in self.exponents)
-        )
+        return "pi: " + _render_monomial(self.names, self.exponents)
 
     def __str__(self) -> str:
         return self.render()
@@ -181,36 +181,33 @@ class DimMatrix:
         return self._dimensions[index]
 
     def rank(self) -> int:
-        _, pivots = _fraction_free_echelon(_clear_denominators(self.rows()))
+        _, pivots = _fraction_free_echelon(self.rows())
         return len(pivots)
 
 
-def _clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        lcm = 1
-        for entry in row:
-            lcm = lcm * entry.denominator // math.gcd(lcm, entry.denominator)
-        out.append([int(entry * lcm) for entry in row])
-    return out
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators: same direction, integers."""
+    lcm = math.lcm(*(entry.denominator for entry in row))
+    return [entry.numerator * (lcm // entry.denominator) for entry in row]
 
 
 def _fraction_free_echelon(
-    matrix: list[list[int]], n_solve_cols: int | None = None
+    rows: Sequence[Sequence[Fraction]],
 ) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free row echelon, in place.
+    """Bareiss fraction-free row echelon of the rows, each cleared to integers.
 
-    Pivot columns are chosen left to right (``n_solve_cols`` limits the
-    pivot search so an augmented column is never used as a pivot).  Returns
-    the echelon matrix and the pivot column indices.
+    Pivot columns are chosen left to right over every column.  For an
+    augmented ``[A | t]`` the last column is a pivot exactly when ``t`` is
+    outside the span of ``A``'s columns, and the pivots left of it give the
+    rank of ``A``.  Returns the echelon matrix and the pivot column indices.
     """
+    matrix = [_integer_row(row) for row in rows]
     n_rows = len(matrix)
     n_cols = len(matrix[0]) if n_rows else 0
-    limit = n_cols if n_solve_cols is None else n_solve_cols
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(limit):
+    for c in range(n_cols):
         pivot_row = next((i for i in range(r, n_rows) if matrix[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -228,20 +225,20 @@ def _fraction_free_echelon(
 
 
 def _back_substitute(
-    echelon: list[list[int]],
-    pivots: list[int],
-    n_cols: int,
-    free_values: Mapping[int, Fraction],
-    rhs_col: int | None = None,
+    echelon: list[list[int]], pivots: list[int], free_values: Mapping[int, Fraction]
 ) -> list[Fraction]:
-    """Solve for pivot variables given fixed free-variable values."""
+    """Solve for the pivot variables given the free variables' values.
+
+    Free columns missing from ``free_values`` are fixed at 0.
+    """
+    n_cols = len(echelon[0])
     solution = [Fraction(0)] * n_cols
     for col, value in free_values.items():
         solution[col] = value
     for row_index in range(len(pivots) - 1, -1, -1):
         pivot_col = pivots[row_index]
         row = echelon[row_index]
-        acc = Fraction(-row[rhs_col]) if rhs_col is not None else Fraction(0)
+        acc = Fraction(0)
         for j in range(pivot_col + 1, n_cols):
             if row[j] != 0 and solution[j] != 0:
                 acc += Fraction(row[j]) * solution[j]
@@ -267,49 +264,37 @@ def solve_target_exponents(
         raise RelationError("at least one parameter is required")
     matrix = DimMatrix(params)
     n = matrix.n_quantities
-    rows = _clear_denominators(matrix.rows(extra=target))
-    echelon, pivots = _fraction_free_echelon(rows, n_solve_cols=n)
-    rank = len(pivots)
-    for row in echelon[rank:]:
-        if row[n] != 0:
-            raise InconsistentDimensionsError(
-                f"target [{target}] is dimensionally impossible from "
-                f"{', '.join(matrix.names)}"
-            )
-    if rank < n:
-        raise UnderdeterminedError(n - rank)
-    solution = _back_substitute(echelon, pivots, n, {}, rhs_col=n)
-    relation = ScalingRelation(
-        target_name, dict(zip(matrix.names, solution))
-    )
-    _confirm_by_substitution(target, matrix, solution)
-    return relation
-
-
-def _confirm_by_substitution(
-    target: Dimension, matrix: DimMatrix, solution: Sequence[Fraction]
-) -> None:
-    total = Dimension()
-    for exp, index in zip(solution, range(matrix.n_quantities)):
-        total = total.combine(matrix.dimension(index), exp)
+    echelon, pivots = _fraction_free_echelon(matrix.rows(extra=target))
+    if n in pivots:
+        raise InconsistentDimensionsError(
+            f"target [{target}] is dimensionally impossible from "
+            f"{', '.join(matrix.names)}"
+        )
+    if len(pivots) < n:
+        raise UnderdeterminedError(n - len(pivots))
+    solution = _back_substitute(echelon, pivots, {n: Fraction(-1)})[:n]
+    total = _dimension_of(matrix, solution)
     if total != target:
         raise DerivationError(
             f"internal check failed: substitution gives [{total}], "
             f"expected [{target}]"
         )
+    return ScalingRelation(target_name, dict(zip(matrix.names, solution)))
+
+
+def _dimension_of(matrix: DimMatrix, exponents: Iterable) -> Dimension:
+    """The dimension of the product of the matrix's quantities to these powers."""
+    total = DIMENSIONLESS
+    for index, exp in enumerate(exponents):
+        total = total.combine(matrix.dimension(index), exp)
+    return total
 
 
 def _normalize_group(vector: Sequence[Fraction]) -> tuple[int, ...]:
-    lcm = 1
-    for entry in vector:
-        lcm = lcm * entry.denominator // math.gcd(lcm, entry.denominator)
-    ints = [int(entry * lcm) for entry in vector]
-    g = math.gcd(*(abs(v) for v in ints if v != 0))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    ints = _integer_row(vector)
+    g = math.gcd(*ints)
+    sign = -1 if next(v for v in ints if v != 0) < 0 else 1
+    return tuple(sign * v // g for v in ints)
 
 
 def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
@@ -325,25 +310,18 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
         raise RelationError("at least one quantity is required")
     matrix = DimMatrix(quantities)
     n = matrix.n_quantities
-    echelon, pivots = _fraction_free_echelon(_clear_denominators(matrix.rows()))
-    free_cols = [c for c in range(n) if c not in pivots]
+    echelon, pivots = _fraction_free_echelon(matrix.rows())
     basis = []
-    for free in free_cols:
-        solution = _back_substitute(echelon, pivots, n, {free: Fraction(1)})
+    for free in (c for c in range(n) if c not in pivots):
+        solution = _back_substitute(echelon, pivots, {free: Fraction(1)})
         group = PiGroup(matrix.names, _normalize_group(solution))
-        _verify_dimensionless(matrix, group)
+        total = _dimension_of(matrix, group.exponents)
+        if not total.is_dimensionless:
+            raise DerivationError(
+                f"internal check failed: group {group.render()} has dimension [{total}]"
+            )
         basis.append(group)
     return basis
-
-
-def _verify_dimensionless(matrix: DimMatrix, group: PiGroup) -> None:
-    total = Dimension()
-    for index, exp in enumerate(group.exponents):
-        total = total.combine(matrix.dimension(index), exp)
-    if not total.is_dimensionless:
-        raise DerivationError(
-            f"internal check failed: group {group.render()} has dimension [{total}]"
-        )
 
 
 MonomialLike = Mapping[str, "int | str | Fraction"]

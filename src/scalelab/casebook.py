@@ -171,6 +171,10 @@ def blast_yield(
         energy = relation.evaluate(
             {"r": radius, "C": prefactor, "rho": cfg.rho, "t": t}
         )
+        if not energy.si_value > 0:
+            raise DataError(
+                f"observation {radius} @ {t}: the energy underflows a float to 0"
+            )
         log_sum += math.log(energy.si_value)
     joule = default_registry().symbol("J")
     return Quantity(math.exp(log_sum / len(observations)), joule)

@@ -16,6 +16,7 @@ dimensions, so magnitudes may be omitted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -259,20 +260,14 @@ def _fit_for_diagnosis(ds, spec) -> FitResult:
 
 
 def _cmd_unit_change(args) -> int:
-    from .regression import ModelSpec, transform_under_unit_change
+    from .regression import transform_under_unit_change
 
     registry, ds, spec = _load_with_spec(args, args.quadratic)
     fit = _fit_for_diagnosis(ds, spec)
     new_x0 = registry.resolve(args.new_x0)
     transformed = transform_under_unit_change(fit, new_x0)
     refit = _fit_for_diagnosis(
-        ds, ModelSpec(
-            response=spec.response,
-            response_reference=spec.response_reference,
-            predictor=spec.predictor,
-            predictor_reference=new_x0,
-            include_quadratic=spec.include_quadratic,
-        )
+        ds, dataclasses.replace(spec, predictor_reference=new_x0)
     )
     labels = transformed.coefficient_labels()
     t_vec = transformed.coefficient_vector()
@@ -411,7 +406,6 @@ def _cmd_plot(args) -> int:
         y=spec.response,
         x_reference=spec.predictor_reference,
         y_reference=spec.response_reference,
-        show_fit=args.fit_line,
     )
     svg = emit_svg_plot(ds, fit, plot_spec)
     atomic_write(args.out, svg)

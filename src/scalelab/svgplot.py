@@ -35,7 +35,6 @@ class PlotSpec:
     y: str
     x_reference: Unit
     y_reference: Unit
-    show_fit: bool = False
 
     def x_label(self) -> str:
         return f"log({self.x}/{self.x_reference.symbol})"

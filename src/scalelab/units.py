@@ -86,6 +86,19 @@ def _as_exponent(value) -> Fraction:
     return frac
 
 
+def _render_monomial(names, exponents) -> str:
+    """``name^exp`` for each nonzero exponent, space-joined; ``1`` if none.
+
+    An exponent of 1 is left off; an integral Fraction prints as an integer.
+    """
+    parts = [
+        name if exp == 1 else f"{name}^{exp}"
+        for name, exp in zip(names, exponents)
+        if exp != 0
+    ]
+    return " ".join(parts) or "1"
+
+
 _ZERO = Fraction(0)
 
 
@@ -118,11 +131,13 @@ class Dimension:
         return all(e == 0 for e in self.as_tuple())
 
     def combine(self, other: Dimension, exponent=1) -> Dimension:
-        """Return ``self + exponent * other``, component-wise and exact."""
+        """Return ``self + exponent * other``, component-wise and exact.
+
+        The constructor bounds each component, as for ``**``.
+        """
         k = _as_exponent(exponent)
-        return Dimension(
-            *(_as_exponent(a + k * b) for a, b in zip(self.as_tuple(), other.as_tuple()))
-        )
+        pairs = zip(self.as_tuple(), other.as_tuple())
+        return Dimension(*(a + k * b for a, b in pairs))
 
     def __mul__(self, other: Dimension) -> Dimension:
         return self.combine(other, 1)
@@ -132,15 +147,10 @@ class Dimension:
 
     def __pow__(self, exponent) -> Dimension:
         k = _as_exponent(exponent)
-        return Dimension(*(_as_exponent(e * k) for e in self.as_tuple()))
+        return Dimension(*(e * k for e in self.as_tuple()))
 
     def __str__(self) -> str:
-        parts = []
-        for letter, exp in zip(self._LETTERS, self.as_tuple()):
-            if exp == 0:
-                continue
-            parts.append(letter if exp == 1 else f"{letter}^{exp}")
-        return " ".join(parts) if parts else "1"
+        return _render_monomial(self._LETTERS, self.as_tuple())
 
 
 DIMENSIONLESS = Dimension()
@@ -160,15 +170,6 @@ POWER = Dimension(mass=Fraction(1), length=Fraction(2), time=Fraction(-3))
 # Coherent base symbols used when arithmetic has to synthesise a unit for an
 # arbitrary dimension.  Shared by every registry built here.
 _SI_BASE_SYMBOLS = ("kg", "m", "s", "K", "GBP")
-
-
-def _coherent_symbol(dimension: Dimension) -> str:
-    parts = []
-    for symbol, exp in zip(_SI_BASE_SYMBOLS, dimension.as_tuple()):
-        if exp == 0:
-            continue
-        parts.append(symbol if exp == 1 else f"{symbol}^{exp}")
-    return " ".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,8 @@ class Unit:
 
 def coherent_unit(dimension: Dimension) -> Unit:
     """The scale-1 unit of a dimension, named from the SI base symbols."""
-    return Unit(_coherent_symbol(dimension), dimension, 1.0)
+    symbol = _render_monomial(_SI_BASE_SYMBOLS, dimension.as_tuple())
+    return Unit(symbol, dimension, 1.0)
 
 
 @dataclass(frozen=True)

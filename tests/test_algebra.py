@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalelab.algebra as algebra
 from scalelab.algebra import (
     DimMatrix,
     PiGroup,
@@ -17,18 +18,22 @@ from scalelab.algebra import (
     solve_target_exponents,
 )
 from scalelab.errors import (
+    DerivationError,
     InconsistentDimensionsError,
     RelationError,
     UnderdeterminedError,
 )
 from scalelab.units import (
     DENSITY,
+    DIMENSIONLESS,
     ENERGY,
     LENGTH,
+    MASS,
     TIME,
     VELOCITY,
     Dimension,
     Quantity,
+    coherent_unit,
     default_registry,
     parse_quantity,
 )
@@ -91,6 +96,41 @@ def test_no_parameters_is_an_error():
 def test_duplicate_parameter_names_rejected():
     with pytest.raises(RelationError):
         solve_target_exponents(LENGTH, [("l", LENGTH), ("l", LENGTH)])
+
+
+def test_impossible_takes_precedence_over_underdetermined():
+    # Two lengths are dependent, yet a time is out of their span: the target
+    # column becomes a pivot, which is reported before the free direction.
+    params = [("a", LENGTH), ("b", LENGTH)]
+    with pytest.raises(InconsistentDimensionsError, match="impossible"):
+        solve_target_exponents(TIME, params)
+    with pytest.raises(UnderdeterminedError) as err:
+        solve_target_exponents(LENGTH, params)
+    assert err.value.free_directions == 1
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [
+        lambda: solve_target_exponents(
+            VELOCITY, [("g", GRAVITY), ("l", LENGTH)], target_name="v"
+        ),
+        lambda: pi_basis(
+            [("r", LENGTH), ("E", ENERGY), ("rho", DENSITY), ("t", TIME)]
+        ),
+    ],
+    ids=["solve_target_exponents", "pi_basis"],
+)
+def test_wrong_back_substitution_fails_the_internal_check(monkeypatch, derive):
+    derive()  # the unpatched path passes its own check
+    real = algebra._back_substitute
+
+    def off_by_one(*args):
+        return [x + 1 for x in real(*args)]
+
+    monkeypatch.setattr(algebra, "_back_substitute", off_by_one)
+    with pytest.raises(DerivationError, match="internal check failed"):
+        derive()
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +449,62 @@ def test_inconsistent_instances_against_rank_oracle():
         with pytest.raises(InconsistentDimensionsError):
             solve_target_exponents(target, [(f"q{i}", d) for i, d in enumerate(dims)])
     assert checked > 5
+
+
+# ---------------------------------------------------------------------------
+# Rendering: one monomial format for dimensions, units, relations and groups
+
+MIXED = Dimension(mass=F(-1), length=F(1, 2), time=F(3))
+
+
+@pytest.mark.parametrize(
+    "render,expected",
+    [
+        pytest.param(lambda: str(MIXED), "M^-1 L^1/2 T^3", id="dimension"),
+        pytest.param(
+            lambda: str(Dimension(temperature=F(-2, 3), currency=F(1))),
+            "Theta^-2/3 Cur",
+            id="dimension-theta-cur",
+        ),
+        pytest.param(lambda: str(DIMENSIONLESS), "1", id="dimension-zero"),
+        pytest.param(
+            lambda: coherent_unit(MIXED).symbol, "kg^-1 m^1/2 s^3", id="unit"
+        ),
+        pytest.param(
+            lambda: coherent_unit(MASS ** -2).symbol, "kg^-2", id="unit-integer"
+        ),
+        pytest.param(
+            lambda: coherent_unit(DIMENSIONLESS).symbol, "1", id="unit-zero"
+        ),
+        pytest.param(
+            lambda: ScalingRelation(
+                "y", {"a": -1, "b": F(1, 2), "c": F(3), "d": 0}
+            ).render(),
+            "y ~ a^-1 b^1/2 c^3",
+            id="relation",
+        ),
+        pytest.param(
+            lambda: ScalingRelation("y", {"a": F(6, 3)}).render(),
+            "y ~ a^2",
+            id="relation-integral-fraction",
+        ),
+        pytest.param(
+            lambda: ScalingRelation("y", {"a": 0}).render(), "y ~ 1", id="relation-zero"
+        ),
+        pytest.param(
+            lambda: PiGroup(("a", "b", "c"), (1, 0, -2)).render(),
+            "pi: a c^-2",
+            id="pi-group",
+        ),
+        pytest.param(
+            lambda: PiGroup(("a", "b"), (3, -1)).render(),
+            "pi: a^3 b^-1",
+            id="pi-group-power",
+        ),
+    ],
+)
+def test_monomials_render_alike(render, expected):
+    assert render() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,6 @@ def test_svg_rejects_fit_from_other_columns():
         x="x", y="y",
         x_reference=REG.symbol("ft"),
         y_reference=ds.column("y").unit,
-        show_fit=True,
     )
     with pytest.raises(DataError, match="different columns or reference"):
         emit_svg_plot(ds, fit, mismatched)
@@ -191,7 +190,7 @@ def test_svg_rejects_fit_from_other_columns():
 def test_fitted_line_slope_matches_beta():
     ds = three_point_dataset()
     fit = fit_power_law(ds, spec_for(ds))
-    svg = emit_svg_plot(ds, fit, plot_spec(ds, show_fit=True))
+    svg = emit_svg_plot(ds, fit, plot_spec(ds))
     match = re.search(
         r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)" '
         r'stroke="crimson"',
@@ -216,7 +215,7 @@ def test_parabola_polyline_vertex():
     vertex = -fit.beta / (2 * fit.gamma)
     assert vertex == pytest.approx(5.0, abs=1e-6)
 
-    svg = emit_svg_plot(ds, fit, plot_spec(ds, show_fit=True))
+    svg = emit_svg_plot(ds, fit, plot_spec(ds))
     match = re.search(r'<polyline points="([^"]+)"', svg)
     assert match
     points = [tuple(map(float, p.split(","))) for p in match.group(1).split()]
@@ -490,6 +489,16 @@ def test_predict_blast_overflow_exits_2(capsys):
     code = run_command(["predict", "blast", "--obs", "1e100 m @ 1 s"])
     assert code == 2
     assert "overflows" in capsys.readouterr().err
+
+
+def test_predict_blast_underflow_exits_2(capsys):
+    # r^5 underflows to 0 for r = 1e-70 m, and so does t^-2 for t = 1e100 s;
+    # the log of a zero energy is undefined.
+    code = run_command(["predict", "blast", "--obs", "1e-70 m @ 1e100 s"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "observation 1e-70 m @ 1e+100 s" in err
+    assert "underflows" in err
 
 
 def test_plot_command_unwritable_path_exits_2(tmp_path, capsys):

@@ -61,6 +61,20 @@ def test_combine_overflow_is_reported():
         d.combine(d, 2**30)
 
 
+@pytest.mark.parametrize(
+    "base,exponent",
+    [
+        (Fraction(2**30), 2),
+        (Fraction(-(2**30)), 2),
+        (Fraction(1, 2**16), Fraction(1, 2**16)),
+    ],
+    ids=["numerator", "negative-numerator", "denominator"],
+)
+def test_pow_overflow_is_reported(base, exponent):
+    with pytest.raises(CapacityError, match="exceeds the supported range"):
+        Dimension(mass=base) ** exponent
+
+
 def test_float_exponents_are_rejected():
     with pytest.raises(TypeError):
         Dimension(mass=0.5)
