@@ -67,6 +67,7 @@ _LAZY = {
             "DataSet",
             "FitResult",
             "ModelSpec",
+            "fit",
             "fit_power_law",
             "fit_quadratic_log",
             "fit_with_covariates",

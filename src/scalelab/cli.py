@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import TYPE_CHECKING
 
 from .algebra import pi_basis, solve_target_exponents
 from .casebook import (
@@ -35,8 +34,6 @@ from .units import Quantity, default_registry, parse_quantity
 
 # csvio, regression and svgplot import numpy: the handlers that need them
 # import them locally, so derive, pi and predict start without it.
-if TYPE_CHECKING:
-    from .regression import FitResult
 
 __all__ = ["run_command", "main"]
 
@@ -235,15 +232,10 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .regression import fit_power_law, fit_quadratic_log, fit_with_covariates
+    from .regression import fit
 
     _, ds, spec = _load_with_spec(args, args.quadratic, args.covariate)
-    if args.quadratic:
-        result = fit_quadratic_log(ds, spec)
-    elif spec.covariates:
-        result = fit_with_covariates(ds, spec)
-    else:
-        result = fit_power_law(ds, spec)
+    result = fit(ds, spec)
     if args.json:
         _print_json(dict(result.report_fields()))
     else:
@@ -251,27 +243,17 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _fit_for_diagnosis(ds, spec) -> FitResult:
-    from .regression import fit_power_law, fit_quadratic_log
-
-    if spec.include_quadratic:
-        return fit_quadratic_log(ds, spec)
-    return fit_power_law(ds, spec)
-
-
 def _cmd_unit_change(args) -> int:
-    from .regression import transform_under_unit_change
+    from .regression import fit, transform_under_unit_change
 
     registry, ds, spec = _load_with_spec(args, args.quadratic)
-    fit = _fit_for_diagnosis(ds, spec)
+    original = fit(ds, spec)
     new_x0 = registry.resolve(args.new_x0)
-    transformed = transform_under_unit_change(fit, new_x0)
-    refit = _fit_for_diagnosis(
-        ds, dataclasses.replace(spec, predictor_reference=new_x0)
-    )
+    transformed = transform_under_unit_change(original, new_x0)
+    refit = fit(ds, dataclasses.replace(spec, predictor_reference=new_x0))
     labels = transformed.coefficient_labels()
-    t_vec = transformed.coefficient_vector()
-    r_vec = refit.coefficient_vector()
+    t_vec = transformed.coefficients
+    r_vec = refit.coefficients
     max_diff = max(abs(t - r) for t, r in zip(t_vec, r_vec))
     if args.json:
         payload = {"new_x0": new_x0.symbol, "max_abs_difference": float(max_diff)}
@@ -292,10 +274,10 @@ def _cmd_unit_change(args) -> int:
 def _cmd_residuals(args) -> int:
     if len(args.row) != 2:
         raise _UsageError("--row must be given exactly twice (rows A and B)", "")
-    from .regression import fit_power_law, residual_distance_ratio
+    from .regression import fit, residual_distance_ratio
 
     _, ds, spec = _load_with_spec(args)
-    fit = fit_power_law(ds, spec)
+    result = fit(ds, spec)
     x_col = ds.column(spec.predictor)
     y_col = ds.column(spec.response)
     points = []
@@ -310,7 +292,7 @@ def _cmd_residuals(args) -> int:
                 Quantity(float(y_col.values[row]), y_col.unit),
             )
         )
-    ratio = residual_distance_ratio(points[0], points[1], fit, space=args.space)
+    ratio = residual_distance_ratio(points[0], points[1], result, space=args.space)
     if args.json:
         _print_json({"space": args.space, "row_a": args.row[0],
                      "row_b": args.row[1], "distance_ratio": ratio})
@@ -395,19 +377,18 @@ def _cmd_fall(args) -> int:
 
 def _cmd_plot(args) -> int:
     from .csvio import atomic_write
+    from .regression import fit
     from .svgplot import PlotSpec, emit_svg_plot
 
     _, ds, spec = _load_with_spec(args, args.quadratic)
-    fit = None
-    if args.fit_line:
-        fit = _fit_for_diagnosis(ds, spec)
+    result = fit(ds, spec) if args.fit_line else None
     plot_spec = PlotSpec(
         x=spec.predictor,
         y=spec.response,
         x_reference=spec.predictor_reference,
         y_reference=spec.response_reference,
     )
-    svg = emit_svg_plot(ds, fit, plot_spec)
+    svg = emit_svg_plot(ds, result, plot_spec)
     atomic_write(args.out, svg)
     print(f"wrote {args.out}")
     return 0

@@ -8,6 +8,10 @@ unit, not logged).  The reference units are part of the model: without
 them the coefficients have no meaning, and changing them transforms the
 coefficients in a way this module implements and checks.
 
+:func:`fit` is the fit entry point: ``fit(ds, spec)`` fits the model that
+a :class:`ModelSpec` describes.  ``fit_power_law``, ``fit_quadratic_log``
+and ``fit_with_covariates`` delegate to it.
+
 The solver works on a column-equilibrated design matrix through a QR
 decomposition rather than the raw normal equations; squared-log regressors
 are nearly collinear with log regressors on narrow ranges, and that route
@@ -44,6 +48,7 @@ __all__ = [
     "ModelSpec",
     "CovariateCoefficient",
     "FitResult",
+    "fit",
     "fit_power_law",
     "fit_with_covariates",
     "fit_quadratic_log",
@@ -118,26 +123,24 @@ class CovariateCoefficient(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Coefficients, standard errors, fit quality, and the reference units
+    """Coefficients, their covariance, fit quality, and the reference units
     that fix what the coefficients mean.
+
+    ``coefficients`` (alpha, beta, then gamma if the spec is quadratic, then
+    a delta per kept covariate) and ``coefficient_covariance`` are the only
+    coefficient state; the named coefficients are read from them.
 
     ``residual_scale`` is the largest log response magnitude plus, for each
     coefficient, the largest magnitude of its term in the design; the
     rounding error of the residuals, and so of their sum, scales with it.
     """
 
-    alpha: float
-    beta: float
-    se_beta: float
-    gamma: float | None
-    se_gamma: float | None
-    covariate_coefficients: tuple[CovariateCoefficient, ...]
+    coefficients: np.ndarray
+    coefficient_covariance: np.ndarray
     r_squared: float
     residuals_log: np.ndarray
     n: int
-    p: int
     reference_units: ModelSpec
-    coefficient_covariance: np.ndarray
     residual_scale: float
     dropped_covariates: tuple[str, ...] = ()
 
@@ -153,19 +156,53 @@ class FitResult:
                 f"residuals sum to {total:.3g}, beyond the rounding bound "
                 f"{bound:.3g}; intercept fit failed"
             )
+        self.coefficients.setflags(write=False)
         self.residuals_log.setflags(write=False)
         self.coefficient_covariance.setflags(write=False)
 
+    def _stderr(self, i: int) -> float:
+        return float(np.sqrt(self.coefficient_covariance[i, i]))
+
+    @property
+    def p(self) -> int:
+        return len(self.coefficients)
+
+    @property
+    def alpha(self) -> float:
+        return float(self.coefficients[0])
+
+    @property
+    def beta(self) -> float:
+        return float(self.coefficients[1])
+
+    @property
+    def se_beta(self) -> float:
+        return self._stderr(1)
+
+    @property
+    def gamma(self) -> float | None:
+        return float(self.coefficients[2]) if self.reference_units.include_quadratic else None
+
+    @property
+    def se_gamma(self) -> float | None:
+        return self._stderr(2) if self.reference_units.include_quadratic else None
+
+    @property
+    def covariate_coefficients(self) -> tuple[CovariateCoefficient, ...]:
+        spec = self.reference_units
+        kept = [name for name, _ in spec.covariates if name not in self.dropped_covariates]
+        return tuple(
+            CovariateCoefficient(name, float(self.coefficients[i]), self._stderr(i))
+            for i, name in enumerate(kept, start=3 if spec.include_quadratic else 2)
+        )
+
     @property
     def is_pure_power_law(self) -> bool:
-        return self.gamma is None and not self.covariate_coefficients
+        return self.p == 2
 
     def coefficient_vector(self) -> np.ndarray:
-        coefs = [self.alpha, self.beta]
-        if self.gamma is not None:
-            coefs.append(self.gamma)
-        coefs.extend(c.value for c in self.covariate_coefficients)
-        return np.array(coefs)
+        """A writable copy of ``coefficients``."""
+        return self.coefficients.copy()
 
     def coefficient_labels(self) -> tuple[str, ...]:
         labels = ["alpha", "beta"]
@@ -198,17 +235,12 @@ class FitResult:
     def report_fields(self) -> list[tuple[str, object]]:
         """Flat key-value view in deterministic order."""
         spec = self.reference_units
-        fields: list[tuple[str, object]] = [
-            ("alpha", self.alpha),
-            ("beta", self.beta),
-            ("se_beta", self.se_beta),
-        ]
-        if self.gamma is not None:
-            fields.append(("gamma", self.gamma))
-            fields.append(("se_gamma", self.se_gamma))
-        for coef in self.covariate_coefficients:
-            fields.append((f"delta[{coef.name}]", coef.value))
-            fields.append((f"se_delta[{coef.name}]", coef.stderr))
+        labels = self.coefficient_labels()
+        # alpha's standard error is not reported.
+        fields: list[tuple[str, object]] = [("alpha", self.alpha)]
+        for i in range(1, self.p):
+            fields.append((labels[i], float(self.coefficients[i])))
+            fields.append((f"se_{labels[i]}", self._stderr(i)))
         fields.extend(
             [
                 ("r_squared", self.r_squared),
@@ -234,31 +266,27 @@ class FitResult:
         return "\n".join(lines)
 
 
-def _log_ratio_column(
-    ds: DataSet, name: str, reference: Unit, what: str
-) -> np.ndarray:
+def _ratio_column(ds: DataSet, name: str, reference: Unit, what: str) -> np.ndarray:
+    """Column ``name`` as pure numbers: its values over the reference unit."""
     col = ds.column(name)
     if col.unit.dimension != reference.dimension:
         raise DimensionMismatchError(
             col.unit.dimension, reference.dimension, f"{what} column {name!r}"
         )
-    ratios = col.values * (col.unit.scale / reference.scale)
+    return col.values * (col.unit.scale / reference.scale)
+
+
+def _log_ratio_column(
+    ds: DataSet, name: str, reference: Unit, what: str
+) -> np.ndarray:
+    ratios = _ratio_column(ds, name, reference, what)
     bad = np.nonzero(~(ratios > 0))[0]
     if bad.size:
         raise DataError(
             f"column {name!r}, row {int(bad[0])}: value must be strictly "
-            f"positive to take a log, got {col.values[int(bad[0])]}"
+            f"positive to take a log, got {ds.column(name).values[int(bad[0])]}"
         )
     return np.log(ratios)
-
-
-def _covariate_column(ds: DataSet, name: str, reference: Unit) -> np.ndarray:
-    col = ds.column(name)
-    if col.unit.dimension != reference.dimension:
-        raise DimensionMismatchError(
-            col.unit.dimension, reference.dimension, f"covariate column {name!r}"
-        )
-    return col.values * (col.unit.scale / reference.scale)
 
 
 def _solve_ols(design: np.ndarray, y: np.ndarray, labels: Sequence[str]):
@@ -292,31 +320,17 @@ def _solve_ols(design: np.ndarray, y: np.ndarray, labels: Sequence[str]):
     return coef, covariance, residuals
 
 
-def _coefficient_fields(
-    coef: np.ndarray,
-    covariance: np.ndarray,
-    quadratic: bool,
-    covariate_names: Sequence[str],
-) -> dict[str, object]:
-    """FitResult's coefficient and standard-error fields from a coefficient
-    vector and its covariance, both in design order: alpha, beta, then
-    gamma if ``quadratic``, then one delta per covariate."""
-    stderr = np.sqrt(np.diag(covariance))
-    first_covariate = 3 if quadratic else 2
-    return {
-        "alpha": float(coef[0]),
-        "beta": float(coef[1]),
-        "se_beta": float(stderr[1]),
-        "gamma": float(coef[2]) if quadratic else None,
-        "se_gamma": float(stderr[2]) if quadratic else None,
-        "covariate_coefficients": tuple(
-            CovariateCoefficient(name, float(coef[i]), float(stderr[i]))
-            for i, name in enumerate(covariate_names, start=first_covariate)
-        ),
-    }
+def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
+    """OLS fit of ``log(y/y0) = alpha + beta log(x/x0)``, with the
+    ``gamma log^2(x/x0)`` term if ``spec.include_quadratic`` and one linear
+    term per covariate in ``spec.covariates``.
 
-
-def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
+    Covariates enter the design as pure numbers (value over reference unit),
+    not logged, so each fitted coefficient is an exponential rate per
+    covariate unit: the model is
+    ``y ~ x^beta * exp(delta * c/c0) * ...``.  A covariate column that is
+    identically zero is dropped and listed in ``dropped_covariates``.
+    """
     y = _log_ratio_column(ds, spec.response, spec.response_reference, "response")
     u = _log_ratio_column(ds, spec.predictor, spec.predictor_reference, "predictor")
     if np.ptp(u) == 0:
@@ -329,10 +343,9 @@ def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     if spec.include_quadratic:
         columns.append(u * u)
         labels.append("gamma")
-    kept_covariates: list[str] = []
     dropped: list[str] = []
     for name, reference in spec.covariates:
-        values = _covariate_column(ds, name, reference)
+        values = _ratio_column(ds, name, reference, "covariate")
         if np.all(values == 0):
             # An identically zero covariate contributes nothing; drop it so
             # the remaining fit matches the covariate-free model exactly.
@@ -340,7 +353,6 @@ def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
             continue
         columns.append(values)
         labels.append(f"delta[{name}]")
-        kept_covariates.append(name)
 
     p = len(columns)
     minimum = max(3, p + 1)
@@ -360,46 +372,37 @@ def _fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     r_squared = float(min(1.0, max(0.0, r_squared)))
 
     return FitResult(
-        **_coefficient_fields(
-            coef, covariance, spec.include_quadratic, kept_covariates
-        ),
+        coefficients=coef,
+        coefficient_covariance=covariance,
         r_squared=r_squared,
         residuals_log=residuals,
         n=ds.n,
-        p=p,
         reference_units=spec,
-        coefficient_covariance=covariance,
         residual_scale=residual_scale,
         dropped_covariates=tuple(dropped),
     )
 
 
 def fit_power_law(ds: DataSet, spec: ModelSpec) -> FitResult:
-    """OLS fit of ``log(y/y0) = alpha + beta log(x/x0)``."""
+    """:func:`fit` restricted to a plain spec."""
     if spec.include_quadratic or spec.covariates:
         raise DataError(
             "fit_power_law takes a plain spec; use fit_quadratic_log or "
             "fit_with_covariates"
         )
-    return _fit(ds, spec)
+    return fit(ds, spec)
 
 
 def fit_with_covariates(ds: DataSet, spec: ModelSpec) -> FitResult:
-    """Power-law fit with linear covariates.
-
-    Covariates enter the design as pure numbers (value over reference unit),
-    not logged, so each fitted coefficient is an exponential rate per
-    covariate unit: the model is
-    ``y ~ x^beta * exp(delta * c/c0) * ...``.
-    """
-    return _fit(ds, spec)
+    """:func:`fit` under the name of the covariate model."""
+    return fit(ds, spec)
 
 
 def fit_quadratic_log(ds: DataSet, spec: ModelSpec) -> FitResult:
-    """Power-law fit with an added ``log^2(x/x0)`` regressor."""
+    """:func:`fit` with the quadratic term switched on."""
     if not spec.include_quadratic:
         spec = replace(spec, include_quadratic=True)
-    return _fit(ds, spec)
+    return fit(ds, spec)
 
 
 def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResult:
@@ -426,30 +429,17 @@ def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResul
         )
     shift = math.log(new_reference.scale / old.scale)
 
-    p = fit.p
-    transform = np.eye(p)
+    transform = np.eye(fit.p)
     transform[0, 1] = shift
-    if fit.gamma is not None:
+    if spec.include_quadratic:
         transform[0, 2] = shift * shift
         transform[1, 2] = 2.0 * shift
 
-    coef = transform @ fit.coefficient_vector()
-    covariance = transform @ fit.coefficient_covariance @ transform.T
-    return FitResult(
-        **_coefficient_fields(
-            coef,
-            covariance,
-            fit.gamma is not None,
-            [c.name for c in fit.covariate_coefficients],
-        ),
-        r_squared=fit.r_squared,
-        residuals_log=fit.residuals_log.copy(),
-        n=fit.n,
-        p=fit.p,
+    return replace(
+        fit,
+        coefficients=transform @ fit.coefficients,
+        coefficient_covariance=transform @ fit.coefficient_covariance @ transform.T,
         reference_units=replace(spec, predictor_reference=new_reference),
-        coefficient_covariance=covariance,
-        residual_scale=fit.residual_scale,
-        dropped_covariates=fit.dropped_covariates,
     )
 
 

@@ -284,13 +284,21 @@ class UnitRegistry:
     """Mapping of unit symbols to units.
 
     Build once, then treat as read-only; :meth:`register` raises on duplicate
-    symbols so a registry's meaning cannot drift.
+    symbols so a registry's meaning cannot drift.  The shared
+    :func:`default_registry` is read-only in fact: it refuses every
+    :meth:`register`.
     """
 
     def __init__(self):
         self._units: dict[str, Unit] = {}
+        self._read_only = False
 
     def register(self, symbol: str, dimension: Dimension, scale: float) -> Unit:
+        if self._read_only:
+            raise DataError(
+                f"cannot register {symbol!r}: the default registry is shared "
+                f"and read-only; register it in a UnitRegistry() of your own"
+            )
         if symbol in self._units:
             raise DataError(f"unit symbol {symbol!r} already registered")
         if any(ch.isspace() for ch in symbol) or "^" in symbol:
@@ -423,4 +431,5 @@ def default_registry() -> UnitRegistry:
     reg.register("J", ENERGY, 1.0)
     reg.register("W", POWER, 1.0)
     reg.register("N", Dimension(mass=Fraction(1), length=Fraction(1), time=Fraction(-2)), 1.0)
+    reg._read_only = True
     return reg

@@ -9,7 +9,13 @@ import pytest
 from scalelab.cli import run_command
 from scalelab.csvio import dump_csv, load_csv, parse_header, save_csv
 from scalelab.errors import DataError, UnknownUnitError
-from scalelab.regression import DataSet, ModelSpec, fit_power_law, fit_quadratic_log
+from scalelab.regression import (
+    DataSet,
+    ModelSpec,
+    fit,
+    fit_power_law,
+    fit_quadratic_log,
+)
 from scalelab.svgplot import PlotSpec, emit_svg_plot, plot_maps
 from scalelab.units import default_registry
 
@@ -331,6 +337,25 @@ def test_fit_command_covariate_with_explicit_reference(capsys):
     assert in_hours["beta"] == pytest.approx(in_years["beta"], rel=1e-12)
 
 
+def test_fit_command_quadratic_with_covariate_json(capsys):
+    path = str(DATA_DIR / "yacht.csv")
+    code = run_command(
+        ["fit", "--csv", path, "--x", "length", "--y", "price", "--quadratic",
+         "--covariate", "age", "--json"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
+        "alpha", "beta", "se_beta", "gamma", "se_gamma", "delta[age]",
+        "se_delta[age]", "r_squared", "n", "p", "y", "y0", "x", "x0",
+        "covariate[age]",
+    ]
+    spec = ModelSpec("price", REG.symbol("GBP"), "length", REG.symbol("ft"),
+                     include_quadratic=True, covariates=(("age", REG.symbol("yr")),))
+    assert payload == json.loads(json.dumps(dict(fit(load_csv(path), spec).report_fields())))
+    assert payload["p"] == 4
+
+
 def test_fit_command_data_error_exits_2(tmp_path, capsys):
     path = write(tmp_path, "neg.csv", "x[m],y[m]\n1,1\n2,-4\n4,16\n")
     assert run_command(["fit", "--csv", path, "--x", "x", "--y", "y"]) == 2
@@ -437,6 +462,28 @@ def test_predict_fall_command(capsys):
     )
     assert code == 0
     assert "32.3165 mph" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg", "--mass", "1e-320 g"],
+         "mass ratio 9.99989e-321 g / 200 kg underflows a float to 0"),
+        (["roast", "--mass", "1e-320 g", "--ref-mass", "200 kg", "--ref-time", "1 hr"],
+         "mass ratio 9.99989e-321 g / 200 kg underflows a float to 0"),
+        (["fall", "--ref-speed", "150 mph", "--ref-mass", "1e-300 g", "--mass", "1e300 kg"],
+         "mass ratio 1e+300 kg / 1e-300 g overflows a float"),
+        (["roast", "--mass", "1e300 kg", "--ref-mass", "1e-300 g", "--ref-time", "1 hr"],
+         "mass ratio 1e+300 kg / 1e-300 g overflows a float"),
+    ],
+    ids=["fall-underflow", "roast-underflow", "fall-overflow", "roast-overflow"],
+)
+def test_predict_mass_ratio_out_of_float_range_exits_2(argv, message, capsys):
+    # 1e-320 g is subnormal; over 200 kg the ratio rounds to 0.
+    assert run_command(["predict", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_predict_blast_radius_command(capsys):

@@ -88,8 +88,9 @@ print(json.dumps([b.cache_info().currsize for b in builders]))
 
 
 def test_lazy_exports_resolve_to_their_modules():
-    from scalelab import DataSet, PlotSpec, fit_power_law, load_csv
+    from scalelab import DataSet, PlotSpec, fit, fit_power_law, load_csv
 
+    assert fit is scalelab.regression.fit
     assert fit_power_law is scalelab.regression.fit_power_law
     assert DataSet is scalelab.regression.DataSet
     assert load_csv.__module__ == "scalelab.csvio"

@@ -12,8 +12,10 @@ from scalelab.errors import (
     DimensionMismatchError,
 )
 from scalelab.regression import (
+    CovariateCoefficient,
     DataSet,
     ModelSpec,
+    fit,
     fit_power_law,
     fit_quadratic_log,
     fit_with_covariates,
@@ -435,6 +437,104 @@ def test_report_field_order_is_deterministic():
     report = fit.report()
     assert report.splitlines()[0].startswith("alpha = ")
     assert "beta = 2" in report
+
+
+_REPORT_TAIL = ["r_squared", "n", "p", "y", "y0", "x", "x0"]
+
+# layout -> (quadratic, covariates, coefficient labels, report keys)
+COEFFICIENT_LAYOUTS = {
+    "plain": (False, (), ["alpha", "beta"],
+              ["alpha", "beta", "se_beta", *_REPORT_TAIL]),
+    "quadratic": (True, (), ["alpha", "beta", "gamma"],
+                  ["alpha", "beta", "se_beta", "gamma", "se_gamma", *_REPORT_TAIL]),
+    "covariate": (False, ("age",), ["alpha", "beta", "delta[age]"],
+                  ["alpha", "beta", "se_beta", "delta[age]", "se_delta[age]",
+                   *_REPORT_TAIL, "covariate[age]"]),
+    "quadratic-covariate": (
+        True, ("age",), ["alpha", "beta", "gamma", "delta[age]"],
+        ["alpha", "beta", "se_beta", "gamma", "se_gamma", "delta[age]",
+         "se_delta[age]", *_REPORT_TAIL, "covariate[age]"]),
+    # A dropped covariate has no coefficient but its reference is reported.
+    "dropped-covariate": (
+        False, ("zero", "age"), ["alpha", "beta", "delta[age]"],
+        ["alpha", "beta", "se_beta", "delta[age]", "se_delta[age]",
+         *_REPORT_TAIL, "covariate[zero]", "covariate[age]"]),
+}
+
+
+def layout_fit(layout):
+    quadratic, covariates, _, _ = COEFFICIENT_LAYOUTS[layout]
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.0, 4.0, 40)
+    age = rng.uniform(0.0, 30.0, 40)
+    y = np.exp(0.5 + 1.5 * u + 0.1 * u * u - 0.03 * age + rng.normal(0, 0.05, 40))
+    ds = DataSet({"x": (np.exp(u), FT), "y": (y, GBP), "age": (age, YR),
+                  "zero": (np.zeros(40), YR)})
+    spec = ModelSpec("y", GBP, "x", FT, include_quadratic=quadratic,
+                     covariates=tuple((name, YR) for name in covariates))
+    return fit(ds, spec)
+
+
+@pytest.mark.parametrize("layout", COEFFICIENT_LAYOUTS)
+def test_coefficient_layout_is_pinned(layout):
+    _, _, labels, keys = COEFFICIENT_LAYOUTS[layout]
+    fitted = layout_fit(layout)
+    assert list(fitted.coefficient_labels()) == labels
+    assert [key for key, _ in fitted.report_fields()] == keys
+    assert fitted.p == len(labels)
+
+
+@pytest.mark.parametrize("layout", COEFFICIENT_LAYOUTS)
+def test_named_coefficients_are_entries_of_the_vector(layout):
+    quadratic, _, labels, _ = COEFFICIENT_LAYOUTS[layout]
+    fitted = layout_fit(layout)
+    coef = fitted.coefficients
+    stderr = np.sqrt(np.diag(fitted.coefficient_covariance))
+    assert coef.shape == (len(labels),)
+    assert fitted.coefficient_covariance.shape == (len(labels), len(labels))
+    assert type(fitted.alpha) is float and fitted.alpha == coef[0]
+    assert type(fitted.beta) is float and fitted.beta == coef[1]
+    assert type(fitted.se_beta) is float and fitted.se_beta == stderr[1]
+    if quadratic:
+        assert type(fitted.gamma) is float and fitted.gamma == coef[2]
+        assert type(fitted.se_gamma) is float and fitted.se_gamma == stderr[2]
+    else:
+        assert fitted.gamma is None and fitted.se_gamma is None
+    first = 3 if quadratic else 2
+    assert fitted.covariate_coefficients == tuple(
+        CovariateCoefficient(label[len("delta["):-1], coef[i], stderr[i])
+        for i, label in enumerate(labels[first:], start=first)
+    )
+    for c in fitted.covariate_coefficients:
+        assert type(c.value) is float and type(c.stderr) is float
+    report = dict(fitted.report_fields())
+    for i, label in enumerate(labels):
+        assert report[label] == coef[i]
+        if i:
+            assert report[f"se_{label}"] == stderr[i]
+
+
+def test_coefficient_arrays_are_read_only():
+    fitted = layout_fit("quadratic")
+    with pytest.raises(ValueError):
+        fitted.coefficients[0] = 0.0
+    with pytest.raises(ValueError):
+        fitted.coefficient_covariance[0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fitted.coefficients = np.zeros(3)
+
+
+@pytest.mark.parametrize("layout", ["quadratic-covariate", "dropped-covariate"])
+def test_unit_change_keeps_the_fit_quality_and_layout(layout):
+    fitted = layout_fit(layout)
+    moved = transform_under_unit_change(fitted, M)
+    assert moved.dropped_covariates == fitted.dropped_covariates
+    np.testing.assert_array_equal(moved.residuals_log, fitted.residuals_log)
+    assert moved.n == fitted.n
+    assert moved.r_squared == fitted.r_squared
+    assert moved.coefficient_labels() == fitted.coefficient_labels()
+    assert moved.covariate_coefficients == fitted.covariate_coefficients
+    assert moved.reference_units.predictor_reference == M
 
 
 def test_standard_error_matches_simple_regression_closed_form():

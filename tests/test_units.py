@@ -208,6 +208,17 @@ def test_registry_rejects_duplicates():
         reg.register("thing", MASS, 2.0)
 
 
+def test_default_registry_is_read_only():
+    before = list(REG)
+    with pytest.raises(DataError, match="read-only"):
+        default_registry().register("furlong", LENGTH, 201.168)
+    assert "furlong" not in default_registry()
+    assert list(default_registry()) == before
+    own = UnitRegistry()
+    assert own.register("furlong", LENGTH, 201.168).scale == 201.168
+    assert own.resolve("furlong") is own.symbol("furlong")
+
+
 def test_single_symbol_resolves_to_registered_unit():
     assert REG.resolve("knot") is REG.symbol("knot")
 
