@@ -4,9 +4,11 @@ Solves for the unique exponent combination that builds a target dimension
 from a parameter list, computes bases of dimensionless groups, and solves
 and chains monomial scaling relations.  No floating point is involved in
 a derivation (only :meth:`ScalingRelation.evaluate` touches magnitudes):
-the elimination is fraction-free (Bareiss) over integers obtained
-by clearing denominators row by row, and back-substitution works in exact
-fractions.
+the elimination is fraction-free (Bareiss) over the integer numerators
+that each :class:`~scalelab.units.Dimension` stores, scaled to one common
+denominator for the whole matrix; back-substitution keeps its solution as
+integers over one common denominator, and the substitution check is one
+integer matrix-vector product.
 
 Both derivations run the same path: echelon the dimension matrix, then
 back-substitute with the free columns fixed.  A target dimension ``t`` is
@@ -23,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
+    DataError,
     DerivationError,
     InconsistentDimensionsError,
     RelationError,
@@ -36,6 +39,7 @@ from .units import (
     Dimension,
     Quantity,
     _as_exponent,
+    _dimension,
     _render_monomial,
     coherent_unit,
 )
@@ -98,16 +102,21 @@ class ScalingRelation:
 
         The prefactor is a number or a quantity; the result's dimension is
         the prefactor's plus the exponent-weighted sum of the bound
-        dimensions, as quantity arithmetic works it out.
+        dimensions, as quantity arithmetic works it out.  Nonzero inputs
+        whose result rounds to 0 raise :class:`DataError`.
         """
         unbound = [name for name in self.exponents if name not in bindings]
         if unbound:
             raise RelationError(
                 f"cannot evaluate {self.render()!r}: no value for {', '.join(unbound)}"
             )
-        result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
+        result = start = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
         for name, exp in self.exponents.items():
             result = bindings[name] ** exp * result
+        if result.si_value == 0 and start.si_value != 0 and all(
+            bindings[name].si_value != 0 for name in self.exponents
+        ):
+            raise DataError(f"evaluating {self.render()!r} underflows a float to 0")
         return result
 
     def __str__(self) -> str:
@@ -149,7 +158,8 @@ class DimMatrix:
     """Dimension exponents of named quantities, columns in input order.
 
     Rows are indexed by the base dimensions, columns by the quantities;
-    entries are the quantities' exact exponents.
+    entries are the quantities' exact exponents, kept as each dimension's
+    integer numerators over its common denominator.
     """
 
     def __init__(self, quantities: Sequence[tuple[str, Dimension]]):
@@ -157,51 +167,53 @@ class DimMatrix:
         if len(set(names)) != len(names):
             raise RelationError(f"duplicate quantity names in {names}")
         self.names: tuple[str, ...] = tuple(names)
-        self.columns: tuple[tuple[Fraction, ...], ...] = tuple(
-            dim.as_tuple() for _, dim in quantities
-        )
-        self._dimensions = tuple(dim for _, dim in quantities)
+        self._exponents = tuple((dim.numerators, dim.denominator) for _, dim in quantities)
 
     @property
     def n_quantities(self) -> int:
         return len(self.names)
 
-    def rows(self, extra: Dimension | None = None) -> list[list[Fraction]]:
-        """Matrix rows (base dimension by quantity), optionally augmented."""
-        n_rows = len(self.columns[0])
-        out = []
-        for r in range(n_rows):
-            row = [col[r] for col in self.columns]
-            if extra is not None:
-                row.append(extra.as_tuple()[r])
-            out.append(row)
-        return out
+    @property
+    def columns(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each quantity's exponents, in base-dimension order."""
+        return tuple(
+            tuple(Fraction(n, den) for n in nums) for nums, den in self._exponents
+        )
 
-    def dimension(self, index: int) -> Dimension:
-        return self._dimensions[index]
+    def rows(self, extra: Dimension | None = None) -> tuple[list[tuple[int, ...]], int]:
+        """Integer rows (base dimension by quantity), optionally augmented
+        with ``extra``, and the common denominator ``d`` of their entries.
+
+        Row ``r`` holds ``d`` times each column's exponent of base dimension
+        ``r``; one factor for the whole matrix leaves its row space and null
+        space as they are.
+        """
+        columns = self._exponents
+        if extra is not None:
+            columns += ((extra.numerators, extra.denominator),)
+        common = math.lcm(*(den for _, den in columns))
+        scaled = [
+            nums if den == common else [n * (common // den) for n in nums]
+            for nums, den in columns
+        ]
+        return list(zip(*scaled)), common
 
     def rank(self) -> int:
-        _, pivots = _fraction_free_echelon(self.rows())
+        _, pivots = _fraction_free_echelon(self.rows()[0])
         return len(pivots)
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row scaled by the lcm of its denominators: same direction, integers."""
-    lcm = math.lcm(*(entry.denominator for entry in row))
-    return [entry.numerator * (lcm // entry.denominator) for entry in row]
-
-
 def _fraction_free_echelon(
-    rows: Sequence[Sequence[Fraction]],
+    rows: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free row echelon of the rows, each cleared to integers.
+    """Bareiss fraction-free row echelon of a copy of the integer rows.
 
     Pivot columns are chosen left to right over every column.  For an
     augmented ``[A | t]`` the last column is a pivot exactly when ``t`` is
     outside the span of ``A``'s columns, and the pivots left of it give the
     rank of ``A``.  Returns the echelon matrix and the pivot column indices.
     """
-    matrix = [_integer_row(row) for row in rows]
+    matrix = [list(row) for row in rows]
     n_rows = len(matrix)
     n_cols = len(matrix[0]) if n_rows else 0
     pivots: list[int] = []
@@ -225,25 +237,37 @@ def _fraction_free_echelon(
 
 
 def _back_substitute(
-    echelon: list[list[int]], pivots: list[int], free_values: Mapping[int, Fraction]
-) -> list[Fraction]:
-    """Solve for the pivot variables given the free variables' values.
+    echelon: list[list[int]], pivots: list[int], free_values: Mapping[int, int]
+) -> tuple[list[int], int]:
+    """Solve for the pivot variables given integer values of the free ones.
 
+    Returns the solution as integers over one positive common denominator.
     Free columns missing from ``free_values`` are fixed at 0.
     """
     n_cols = len(echelon[0])
-    solution = [Fraction(0)] * n_cols
+    solution = [0] * n_cols
     for col, value in free_values.items():
         solution[col] = value
+    denominator = 1
     for row_index in range(len(pivots) - 1, -1, -1):
         pivot_col = pivots[row_index]
         row = echelon[row_index]
-        acc = Fraction(0)
-        for j in range(pivot_col + 1, n_cols):
-            if row[j] != 0 and solution[j] != 0:
-                acc += Fraction(row[j]) * solution[j]
-        solution[pivot_col] = -acc / row[pivot_col]
-    return solution
+        acc = sum(row[j] * solution[j] for j in range(pivot_col + 1, n_cols))
+        # pivot * x = -acc / denominator: scale every entry by pivot / g.
+        g = math.gcd(row[pivot_col], acc)
+        scale, value = row[pivot_col] // g, -acc // g
+        if scale < 0:
+            scale, value = -scale, -value
+        if scale != 1:
+            solution = [v * scale for v in solution]
+            denominator *= scale
+        solution[pivot_col] = value
+    return solution, denominator
+
+
+def _product(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> list[int]:
+    """``rows`` times ``vector``, over the vector's length of each row."""
+    return [sum(a * b for a, b in zip(row, vector)) for row in rows]
 
 
 def solve_target_exponents(
@@ -264,7 +288,8 @@ def solve_target_exponents(
         raise RelationError("at least one parameter is required")
     matrix = DimMatrix(params)
     n = matrix.n_quantities
-    echelon, pivots = _fraction_free_echelon(matrix.rows(extra=target))
+    rows, common = matrix.rows(extra=target)
+    echelon, pivots = _fraction_free_echelon(rows)
     if n in pivots:
         raise InconsistentDimensionsError(
             f"target [{target}] is dimensionally impossible from "
@@ -272,29 +297,23 @@ def solve_target_exponents(
         )
     if len(pivots) < n:
         raise UnderdeterminedError(n - len(pivots))
-    solution = _back_substitute(echelon, pivots, {n: Fraction(-1)})[:n]
-    total = _dimension_of(matrix, solution)
-    if total != target:
+    solution, denominator = _back_substitute(echelon, pivots, {n: -1})
+    total = _product(rows, solution[:n])
+    if total != [denominator * row[n] for row in rows]:
         raise DerivationError(
-            f"internal check failed: substitution gives [{total}], "
-            f"expected [{target}]"
+            f"internal check failed: substitution gives "
+            f"[{_dimension(tuple(total), common * denominator)}], expected [{target}]"
         )
-    return ScalingRelation(target_name, dict(zip(matrix.names, solution)))
+    return ScalingRelation(
+        target_name,
+        {name: Fraction(v, denominator) for name, v in zip(matrix.names, solution)},
+    )
 
 
-def _dimension_of(matrix: DimMatrix, exponents: Iterable) -> Dimension:
-    """The dimension of the product of the matrix's quantities to these powers."""
-    total = DIMENSIONLESS
-    for index, exp in enumerate(exponents):
-        total = total.combine(matrix.dimension(index), exp)
-    return total
-
-
-def _normalize_group(vector: Sequence[Fraction]) -> tuple[int, ...]:
-    ints = _integer_row(vector)
-    g = math.gcd(*ints)
-    sign = -1 if next(v for v in ints if v != 0) < 0 else 1
-    return tuple(sign * v // g for v in ints)
+def _normalize_group(vector: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*vector)
+    sign = -1 if next(v for v in vector if v != 0) < 0 else 1
+    return tuple(sign * v // g for v in vector)
 
 
 def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
@@ -310,15 +329,17 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
         raise RelationError("at least one quantity is required")
     matrix = DimMatrix(quantities)
     n = matrix.n_quantities
-    echelon, pivots = _fraction_free_echelon(matrix.rows())
+    rows, common = matrix.rows()
+    echelon, pivots = _fraction_free_echelon(rows)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        solution = _back_substitute(echelon, pivots, {free: Fraction(1)})
+        solution, _ = _back_substitute(echelon, pivots, {free: 1})
         group = PiGroup(matrix.names, _normalize_group(solution))
-        total = _dimension_of(matrix, group.exponents)
-        if not total.is_dimensionless:
+        total = _product(rows, group.exponents)
+        if any(total):
             raise DerivationError(
-                f"internal check failed: group {group.render()} has dimension [{total}]"
+                f"internal check failed: group {group.render()} has dimension "
+                f"[{_dimension(tuple(total), common)}]"
             )
         basis.append(group)
     return basis

@@ -120,13 +120,16 @@ class CaseReport:
 
 def _check_inputs(*rows: tuple[Quantity, Dimension, str]) -> None:
     """Each ``(quantity, dimension, what)`` row must have that dimension and
-    a positive value; every dimension is checked before any sign."""
+    a positive magnitude that stays nonzero in SI units; every dimension is
+    checked before any sign."""
     for quantity, dimension, what in rows:
         if quantity.dimension != dimension:
             raise DimensionMismatchError(quantity.dimension, dimension, what)
     for quantity, _, what in rows:
-        if not quantity.si_value > 0:
+        if not quantity.magnitude > 0:
             raise DataError(f"{what} must be positive, got {quantity}")
+        if quantity.si_value == 0:
+            raise DataError(f"{what} {quantity} underflows a float to 0 in SI units")
 
 
 @functools.cache
@@ -168,13 +171,12 @@ def blast_yield(
     log_sum = 0.0
     for radius, t in observations:
         _check_inputs((radius, LENGTH, "observed radius"), (t, TIME, "observed time"))
-        energy = relation.evaluate(
-            {"r": radius, "C": prefactor, "rho": cfg.rho, "t": t}
-        )
-        if not energy.si_value > 0:
-            raise DataError(
-                f"observation {radius} @ {t}: the energy underflows a float to 0"
+        try:
+            energy = relation.evaluate(
+                {"r": radius, "C": prefactor, "rho": cfg.rho, "t": t}
             )
+        except DataError as exc:
+            raise DataError(f"observation {radius} @ {t}: {exc}") from None
         log_sum += math.log(energy.si_value)
     joule = default_registry().symbol("J")
     return Quantity(math.exp(log_sum / len(observations)), joule)

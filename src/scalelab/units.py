@@ -2,9 +2,12 @@
 
 The base dimension set is fixed at mass (M), length (L), time (T),
 temperature (Theta), and currency (Cur).  Dimension exponents are exact
-rationals with bounded numerator and denominator; arithmetic that would
-exceed the bound raises :class:`~scalelab.errors.CapacityError` rather than
-silently growing.
+rationals, stored per :class:`Dimension` as one vector of integer
+numerators over one common denominator, so combining, raising, comparing
+and rendering dimensions is integer arithmetic.  Each exponent's reduced
+numerator and denominator are bounded; arithmetic that would exceed the
+bound raises :class:`~scalelab.errors.CapacityError` rather than silently
+growing.
 
 All types here are immutable values and every operation is pure, so the
 module is safe for unrestricted concurrent use.  A registry is built once
@@ -63,6 +66,16 @@ __all__ = [
 _CAPACITY = 2**31
 
 
+def _bounded(numerator: int, denominator: int) -> tuple[int, int]:
+    """A reduced exponent ``numerator/denominator``, checked against the bound."""
+    if abs(numerator) >= _CAPACITY or denominator >= _CAPACITY:
+        raise CapacityError(
+            f"rational exponent {_fraction_text(numerator, denominator)} exceeds "
+            f"the supported range (|num|, den < 2^31)"
+        )
+    return numerator, denominator
+
+
 def _as_exponent(value) -> Fraction:
     """Coerce an exact rational, rejecting floats (they are not exact)."""
     if isinstance(value, Fraction):
@@ -78,79 +91,137 @@ def _as_exponent(value) -> Fraction:
         raise TypeError(
             f"dimension exponents must be int, str, or Fraction, not {type(value).__name__}"
         )
-    if abs(frac.numerator) >= _CAPACITY or frac.denominator >= _CAPACITY:
-        raise CapacityError(
-            f"rational exponent {frac} exceeds the supported range "
-            f"(|num|, den < 2^31)"
-        )
+    _bounded(frac.numerator, frac.denominator)
     return frac
 
 
-def _render_monomial(names, exponents) -> str:
+def _ratio(value) -> tuple[int, int]:
+    """An exact exponent as a reduced, bounded ``(numerator, denominator)``."""
+    if type(value) is int and -_CAPACITY < value < _CAPACITY:
+        return value, 1
+    frac = _as_exponent(value)
+    return frac.numerator, frac.denominator
+
+
+def _fraction_text(numerator: int, denominator: int) -> str:
+    """``n`` or ``n/d`` for a reduced fraction, as ``str(Fraction)`` prints it."""
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
+def _render_monomial(names, exponents, denominator: int = 1) -> str:
     """``name^exp`` for each nonzero exponent, space-joined; ``1`` if none.
 
-    An exponent of 1 is left off; an integral Fraction prints as an integer.
+    The exponents are integers or Fractions, each divided by
+    ``denominator``.  An exponent of 1 is left off; an integral one prints
+    as an integer.
     """
-    parts = [
-        name if exp == 1 else f"{name}^{exp}"
-        for name, exp in zip(names, exponents)
-        if exp != 0
-    ]
+    parts = []
+    for name, exp in zip(names, exponents):
+        if exp == 0:
+            continue
+        if denominator != 1:
+            g = math.gcd(exp, denominator)
+            exp = exp // g if g == denominator else f"{exp // g}/{denominator // g}"
+        parts.append(name if exp == 1 else f"{name}^{exp}")
     return " ".join(parts) or "1"
 
 
-_ZERO = Fraction(0)
+def _component(index: int) -> property:
+    return property(lambda self: Fraction(self.numerators[index], self.denominator))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Dimension:
     """A vector of exact rational exponents over the base dimensions.
 
-    The zero vector is the unique dimensionless value; equality is
-    component-wise rational equality.
+    The five exponents are stored as one tuple of integer ``numerators``
+    over one positive common ``denominator``, reduced so that the
+    numerators and the denominator have gcd 1.  Each value has exactly one
+    such form, so equality and hashing compare integers, and the zero
+    vector, ``(0, 0, 0, 0, 0)`` over 1, is the unique dimensionless value.
+    Construction and every operation check once, on the result, that each
+    exponent as a reduced fraction has |numerator| and denominator below
+    2^31.  The named exponents and :meth:`as_tuple` are ``Fraction``
+    values.  Instances are immutable.
     """
 
-    mass: Fraction = _ZERO
-    length: Fraction = _ZERO
-    time: Fraction = _ZERO
-    temperature: Fraction = _ZERO
-    currency: Fraction = _ZERO
+    __slots__ = ("numerators", "denominator")
+
+    numerators: tuple[int, ...]
+    denominator: int
 
     _FIELDS = ("mass", "length", "time", "temperature", "currency")
     _LETTERS = ("M", "L", "T", "Theta", "Cur")
 
-    def __post_init__(self):
-        for name in self._FIELDS:
-            object.__setattr__(self, name, _as_exponent(getattr(self, name)))
+    mass = _component(0)
+    length = _component(1)
+    time = _component(2)
+    temperature = _component(3)
+    currency = _component(4)
+
+    def __init__(self, mass=0, length=0, time=0, temperature=0, currency=0):
+        # Reduced fractions over the lcm of their denominators share no
+        # factor with it, so the result is already in reduced form.
+        pairs = [_ratio(e) for e in (mass, length, time, temperature, currency)]
+        denominator = math.lcm(*(q for _, q in pairs))
+        object.__setattr__(self, "numerators", tuple(p * (denominator // q) for p, q in pairs))
+        object.__setattr__(self, "denominator", denominator)
+
+    def __reduce__(self):
+        return Dimension, self.as_tuple()
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return tuple(getattr(self, name) for name in self._FIELDS)
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     @property
     def is_dimensionless(self) -> bool:
-        return all(e == 0 for e in self.as_tuple())
+        return not any(self.numerators)
 
     def combine(self, other: Dimension, exponent=1) -> Dimension:
-        """Return ``self + exponent * other``, component-wise and exact.
-
-        The constructor bounds each component, as for ``**``.
-        """
-        k = _as_exponent(exponent)
-        pairs = zip(self.as_tuple(), other.as_tuple())
-        return Dimension(*(a + k * b for a, b in pairs))
+        """Return ``self + exponent * other``, component-wise and exact."""
+        # self + (p/q) other over the lcm of the two denominators.
+        p, q = _ratio(exponent)
+        mine, theirs = self.denominator, other.denominator * q
+        common = mine if mine == theirs else math.lcm(mine, theirs)
+        s, t = common // mine, p * (common // theirs)
+        pairs = zip(self.numerators, other.numerators)
+        return _dimension(tuple(a * s + b * t for a, b in pairs), common)
 
     def __mul__(self, other: Dimension) -> Dimension:
-        return self.combine(other, 1)
+        return self.combine(other)
 
     def __truediv__(self, other: Dimension) -> Dimension:
         return self.combine(other, -1)
 
     def __pow__(self, exponent) -> Dimension:
-        k = _as_exponent(exponent)
-        return Dimension(*(e * k for e in self.as_tuple()))
+        p, q = _ratio(exponent)
+        return _dimension(tuple(n * p for n in self.numerators), self.denominator * q)
+
+    def __repr__(self) -> str:
+        fields = zip(self._FIELDS, self.as_tuple())
+        return "Dimension(" + ", ".join(f"{name}={e!r}" for name, e in fields) + ")"
 
     def __str__(self) -> str:
-        return _render_monomial(self._LETTERS, self.as_tuple())
+        return _render_monomial(self._LETTERS, self.numerators, self.denominator)
+
+
+def _dimension(numerators: tuple[int, ...], denominator: int) -> Dimension:
+    """The Dimension ``numerators / denominator`` (denominator > 0), reduced
+    and checked against the bound."""
+    if denominator != 1:
+        g = math.gcd(denominator, *numerators)
+        if g != 1:
+            numerators = tuple(n // g for n in numerators)
+            denominator //= g
+    low, high = min(numerators), max(numerators)
+    if denominator >= _CAPACITY or low <= -_CAPACITY or high >= _CAPACITY:
+        for n in numerators:
+            g = math.gcd(n, denominator)
+            _bounded(n // g, denominator // g)
+    dim = object.__new__(Dimension)
+    object.__setattr__(dim, "numerators", numerators)
+    object.__setattr__(dim, "denominator", denominator)
+    return dim
 
 
 DIMENSIONLESS = Dimension()
@@ -196,7 +267,9 @@ class Unit:
 
 def coherent_unit(dimension: Dimension) -> Unit:
     """The scale-1 unit of a dimension, named from the SI base symbols."""
-    symbol = _render_monomial(_SI_BASE_SYMBOLS, dimension.as_tuple())
+    symbol = _render_monomial(
+        _SI_BASE_SYMBOLS, dimension.numerators, dimension.denominator
+    )
     return Unit(symbol, dimension, 1.0)
 
 
@@ -326,31 +399,34 @@ class UnitRegistry:
         tokens = expression.split()
         if not tokens:
             raise QuantityParseError("empty unit expression")
+        if len(tokens) == 1 and tokens[0] in self._units:
+            return self._units[tokens[0]]
         dim = DIMENSIONLESS
         scale = 1.0
         normalized = []
         for token in tokens:
             symbol, caret, exp_text = token.partition("^")
             unit = self.symbol(symbol)
-            if caret:
-                exponent = _parse_rational(exp_text)
-            else:
-                exponent = Fraction(1)
-            dim = dim.combine(unit.dimension, exponent)
-            scale *= unit.scale ** float(exponent)
-            normalized.append(symbol if exponent == 1 else f"{symbol}^{exponent}")
-        if len(tokens) == 1 and normalized[0] in self._units:
-            return self._units[normalized[0]]
+            p, q = _parse_rational(exp_text) if caret else (1, 1)
+            dim = dim.combine(unit.dimension, p if q == 1 else Fraction(p, q))
+            scale *= unit.scale ** (p / q)
+            normalized.append(symbol if p == q else f"{symbol}^{_fraction_text(p, q)}")
         return Unit(" ".join(normalized), dim, scale)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
-def _parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+def _parse_rational(text: str) -> tuple[int, int]:
+    match = _RATIONAL_RE.match(text)
+    if not match:
         raise QuantityParseError(f"malformed exponent {text!r}")
-    return _as_exponent(text)
+    try:
+        numerator, denominator = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise QuantityParseError(f"malformed rational {text!r}") from exc
+    g = math.gcd(numerator, denominator)
+    return _bounded(numerator // g, denominator // g)
 
 
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")

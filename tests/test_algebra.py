@@ -18,6 +18,7 @@ from scalelab.algebra import (
     solve_target_exponents,
 )
 from scalelab.errors import (
+    DataError,
     DerivationError,
     InconsistentDimensionsError,
     RelationError,
@@ -126,7 +127,9 @@ def test_wrong_back_substitution_fails_the_internal_check(monkeypatch, derive):
     real = algebra._back_substitute
 
     def off_by_one(*args):
-        return [x + 1 for x in real(*args)]
+        # The solution is integers over a common denominator: add 1 to each.
+        solution, denominator = real(*args)
+        return [x + denominator for x in solution], denominator
 
     monkeypatch.setattr(algebra, "_back_substitute", off_by_one)
     with pytest.raises(DerivationError, match="internal check failed"):
@@ -271,6 +274,23 @@ def test_evaluate_dimension_is_the_exponent_weighted_sum(terms, prefactor):
     for name, exp in relation.exponents.items():
         magnitude *= bindings[name].si_value ** float(exp)
     assert result.si_value == pytest.approx(magnitude, rel=1e-12)
+
+
+def test_evaluate_underflow_is_a_data_error():
+    relation = ScalingRelation("y", {"a": 1, "b": 1})
+    tiny = parse_quantity("1e-200 m")
+    with pytest.raises(DataError, match=r"^evaluating 'y ~ a b' underflows a float to 0$"):
+        relation.evaluate({"a": tiny, "b": tiny})
+    with pytest.raises(DataError, match="underflows"):
+        relation.evaluate({"a": tiny, "b": parse_quantity("1 m")}, 1e-200)
+
+
+def test_evaluate_zero_input_gives_zero():
+    # A zero result is an underflow only when every input is nonzero.
+    relation = ScalingRelation("y", {"a": 1, "b": 1})
+    one, zero = parse_quantity("1 m"), parse_quantity("0 m")
+    assert relation.evaluate({"a": one, "b": zero}).si_value == 0
+    assert relation.evaluate({"a": one, "b": one}, 0.0).si_value == 0
 
 
 def test_evaluate_identity_returns_the_binding():

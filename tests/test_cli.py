@@ -486,6 +486,35 @@ def test_predict_mass_ratio_out_of_float_range_exits_2(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fall", "--ref-speed", "1e-300 m/s", "--ref-mass", "1 kg", "--mass", "1e-300 kg"],
+         "evaluating 'v ~ m^1/6' underflows a float to 0"),
+        (["roast", "--mass", "1e-300 kg", "--ref-mass", "1 kg", "--ref-time", "1e-200 hr"],
+         "evaluating 't ~ kappa^-1 m^2/3' underflows a float to 0"),
+        (["blast", "--energy", "1e-300 J", "--time", "1e-300 s", "--prefactor", "1e-200"],
+         "evaluating 'r ~ E^1/5 rho^-1/5 t^2/5' underflows a float to 0"),
+    ],
+    ids=["fall", "roast", "blast"],
+)
+def test_predict_underflow_exits_2(argv, message, capsys):
+    # Every input is nonzero, yet the prediction rounds to 0.
+    assert run_command(["predict", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_predict_input_underflowing_in_si_exits_2(capsys):
+    # 1e-322 g is positive, but 1e-325 kg rounds to 0.
+    argv = ["roast", "--mass", "1e-322 g", "--ref-mass", "1 kg", "--ref-time", "1 hr"]
+    assert run_command(["predict", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mass 9.88131e-323 g underflows a float to 0 in SI units\n"
+
+
 def test_predict_blast_radius_command(capsys):
     code = run_command(
         ["predict", "blast", "--energy", "8e13 J", "--time", "0.025 s", "--json"]

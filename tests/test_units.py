@@ -294,3 +294,158 @@ def test_quantity_pow_negative_base_fractional_exponent():
 def test_quantity_pow_overflow_is_a_data_error():
     with pytest.raises(DataError, match="overflows"):
         parse_quantity("1e200 s") ** 2
+
+
+# ---------------------------------------------------------------------------
+# Dimension against a reference model: five Fractions, each bounded
+
+_BOUND = 2**31
+# Few distinct values next to the bound, so that sums and products land on
+# it exactly: 2^30 + 2^30, (2^31 - 1) + 1, 2^16 * 2^15 ...
+_NEAR_BOUND = st.sampled_from([2**30, _BOUND - 1, _BOUND, _BOUND + 1])
+_exponent_fractions = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), _NEAR_BOUND, _NEAR_BOUND.map(lambda n: -n)),
+    st.one_of(st.integers(1, 3), st.sampled_from([2**15, 2**16, 2**16 - 1, _BOUND - 1, _BOUND])),
+)
+
+
+def _model_check(value: Fraction) -> Fraction:
+    if abs(value.numerator) >= _BOUND or value.denominator >= _BOUND:
+        raise CapacityError(
+            f"rational exponent {value} exceeds the supported range (|num|, den < 2^31)"
+        )
+    return value
+
+
+def _model(components):
+    """The reference: a tuple of five bounded Fractions."""
+    return tuple(_model_check(Fraction(c)) for c in components)
+
+
+def _model_str(model) -> str:
+    parts = [
+        name if e == 1 else f"{name}^{e}"
+        for name, e in zip(("M", "L", "T", "Theta", "Cur"), model)
+        if e != 0
+    ]
+    return " ".join(parts) or "1"
+
+
+def _outcome(fn):
+    """``("ok", value)`` or ``("capacity", message)``."""
+    try:
+        return "ok", fn()
+    except CapacityError as exc:
+        return "capacity", str(exc)
+
+
+def _as_input(value: Fraction, form: int):
+    """The same exponent as a Fraction, an int (when integral) or a str."""
+    if form == 1 and value.denominator == 1:
+        return int(value)
+    return str(value) if form == 2 else value
+
+
+def _assert_matches(dim: Dimension, model) -> None:
+    assert dim.as_tuple() == model
+    fields = (dim.mass, dim.length, dim.time, dim.temperature, dim.currency)
+    assert fields == model
+    assert all(type(f) is Fraction for f in fields + dim.as_tuple())
+    assert str(dim) == _model_str(model)
+    assert dim.is_dimensionless == (not any(model))
+    assert dim == Dimension(*model) and hash(dim) == hash(Dimension(*model))
+
+
+_five = st.lists(_exponent_fractions, min_size=5, max_size=5)
+
+
+@settings(max_examples=200)
+@given(_five, st.integers(0, 2))
+def test_dimension_construction_matches_the_model(components, form):
+    inputs = [_as_input(c, form) for c in components]
+    got = _outcome(lambda: Dimension(*inputs))
+    want = _outcome(lambda: _model(components))
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        _assert_matches(got[1], want[1])
+        assert Dimension(**dict(zip(Dimension._FIELDS, inputs))) == got[1]
+    else:
+        assert got[1] == want[1]
+
+
+_bounded_five = st.lists(
+    _exponent_fractions.filter(lambda f: abs(f.numerator) < _BOUND and f.denominator < _BOUND),
+    min_size=5,
+    max_size=5,
+)
+
+
+def _check_operations(a, b, k: Fraction, form: int) -> None:
+    left, right = Dimension(*a), Dimension(*b)
+    exponent = _as_input(k, form)
+    cases = [
+        (lambda: left.combine(right, exponent),
+         lambda: _model(x + _model_check(k) * y for x, y in zip(a, b))),
+        (lambda: left * right, lambda: _model(x + y for x, y in zip(a, b))),
+        (lambda: left / right, lambda: _model(x - y for x, y in zip(a, b))),
+        (lambda: left ** exponent, lambda: _model(x * _model_check(k) for x in a)),
+    ]
+    for operate, reference in cases:
+        got, want = _outcome(operate), _outcome(reference)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            _assert_matches(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+    assert (left == right) == (tuple(a) == tuple(b))
+    if tuple(a) == tuple(b):
+        assert hash(left) == hash(right)
+
+
+@settings(max_examples=200)
+@given(_bounded_five, _bounded_five, _exponent_fractions, st.integers(0, 2))
+def test_dimension_operations_match_the_model(a, b, k, form):
+    _check_operations(a, b, k, form)
+
+
+def _mass(value, length=0) -> list:
+    return [Fraction(value), Fraction(length), Fraction(0), Fraction(0), Fraction(0)]
+
+
+@pytest.mark.parametrize(
+    "a, b, k",
+    [
+        (_mass(_BOUND - 2), _mass(1), Fraction(1)),
+        (_mass(_BOUND - 1), _mass(1), Fraction(1)),
+        (_mass(-(_BOUND - 1)), _mass(1), Fraction(-1)),
+        (_mass(2**30), _mass(2**30), Fraction(2)),
+        (_mass(Fraction(1, 2**16), Fraction(1, 2**16 - 1)), _mass(0), Fraction(1)),
+        (_mass(Fraction(1, 2**16)), _mass(Fraction(1, 2**16 - 1)), Fraction(1, 2**15)),
+        (_mass(Fraction(1, 2**16)), _mass(0), Fraction(1, 2**15 - 1)),
+        (_mass(0), _mass(1), Fraction(_BOUND - 1)),
+        (_mass(0), _mass(1), Fraction(_BOUND)),
+        (_mass(Fraction(1, 2)), _mass(1), Fraction(1, _BOUND - 1)),
+    ],
+)
+def test_dimension_bound_is_exact(a, b, k):
+    # Each case puts one result just inside or just outside the bound; the
+    # fifth has a common denominator above 2^31 while each exponent is inside.
+    for form in (0, 1, 2):
+        _check_operations(a, b, k, form)
+
+
+def test_dimension_is_immutable():
+    d = Dimension(mass=1)
+    with pytest.raises(AttributeError):
+        d.mass = Fraction(2)
+    with pytest.raises(AttributeError):
+        d.numerators = (2, 0, 0, 0, 0)
+    assert d == MASS
+
+
+def test_dimension_stores_one_reduced_integer_vector():
+    d = Dimension(mass=Fraction(1, 2), length=Fraction(-1, 3), time=2)
+    assert (d.numerators, d.denominator) == ((3, -2, 12, 0, 0), 6)
+    assert (d * d).numerators == (3, -2, 12, 0, 0) and (d * d).denominator == 3
+    assert (d / d).numerators == (0,) * 5 and (d / d).denominator == 1
