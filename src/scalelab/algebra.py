@@ -102,21 +102,20 @@ class ScalingRelation:
 
         The prefactor is a number or a quantity; the result's dimension is
         the prefactor's plus the exponent-weighted sum of the bound
-        dimensions, as quantity arithmetic works it out.  Nonzero inputs
-        whose result rounds to 0 raise :class:`DataError`.
+        dimensions, as quantity arithmetic works it out; a :class:`DataError`
+        from that arithmetic is raised again naming the relation.
         """
         unbound = [name for name in self.exponents if name not in bindings]
         if unbound:
             raise RelationError(
                 f"cannot evaluate {self.render()!r}: no value for {', '.join(unbound)}"
             )
-        result = start = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
-        for name, exp in self.exponents.items():
-            result = bindings[name] ** exp * result
-        if result.si_value == 0 and start.si_value != 0 and all(
-            bindings[name].si_value != 0 for name in self.exponents
-        ):
-            raise DataError(f"evaluating {self.render()!r} underflows a float to 0")
+        try:
+            result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
+            for name, exp in self.exponents.items():
+                result = bindings[name] ** exp * result
+        except DataError as exc:
+            raise DataError(f"evaluating {self.render()!r}: {exc}") from None
         return result
 
     def __str__(self) -> str:

@@ -69,6 +69,8 @@ class BlastConfig:
     rho: Quantity = parse_quantity("1.2 kg m^-3")
 
     def __post_init__(self):
+        if not math.isfinite(self.prefactor):
+            raise DataError(f"blast prefactor must be finite, got {self.prefactor}")
         if not self.prefactor > 0:
             raise DataError(f"blast prefactor must be positive, got {self.prefactor}")
         _check_inputs((self.rho, DENSITY, "blast density"))
@@ -182,17 +184,6 @@ def blast_yield(
     return Quantity(math.exp(log_sum / len(observations)), joule)
 
 
-def _mass_ratio(m: Quantity, m_ref: Quantity) -> Quantity:
-    """m / m_ref as a pure number; a ratio that leaves the float range is a
-    data error naming both masses, not a zero or infinite prediction."""
-    ratio = m.si_value / m_ref.si_value
-    if ratio == 0.0:
-        raise DataError(f"mass ratio {m} / {m_ref} underflows a float to 0")
-    if ratio == math.inf:
-        raise DataError(f"mass ratio {m} / {m_ref} overflows a float")
-    return _ONE * ratio
-
-
 @functools.cache
 def _roast_relation() -> ScalingRelation:
     diffusivity = Dimension(length=Fraction(2), time=Fraction(-1))
@@ -213,7 +204,7 @@ def roast_time(m: Quantity, m_ref: Quantity, t_ref: Quantity) -> Quantity:
         (m_ref, MASS, "reference mass"),
         (t_ref, TIME, "reference time"),
     )
-    t = _roast_relation().evaluate({"kappa": _ONE, "m": _mass_ratio(m, m_ref)}, t_ref)
+    t = _roast_relation().evaluate({"kappa": _ONE, "m": m / m_ref}, t_ref)
     return convert(t, t_ref.unit)
 
 
@@ -257,7 +248,7 @@ def terminal_velocity_scale(
         (m_ref, MASS, "reference mass"),
         (m, MASS, "mass"),
     )
-    v = _fall_relation().evaluate({"m": _mass_ratio(m, m_ref)}, v_ref)
+    v = _fall_relation().evaluate({"m": m / m_ref}, v_ref)
     return convert(v, v_ref.unit)
 
 

@@ -3,8 +3,9 @@
 Subcommands: ``derive``, ``pi``, ``fit``, ``diagnose unit-change``,
 ``diagnose residuals``, ``predict blast|roast|hull|fall``, ``plot``.
 Exit codes: 0 on success, 1 on usage errors, 2 on data or dimension
-errors.  Reports print numbers to 6 significant digits; pass ``--json``
-for a flat full-precision dump.
+errors, 3 on an internal error (a bug, reported in one line).  Reports
+print numbers to 6 significant digits; pass ``--json`` for a flat
+full-precision dump.
 
 Quantities on the command line follow the same grammar as everywhere
 else: ``"<number> <unit-expression>"``, e.g. ``--mass "5 kg"``.  Dimension
@@ -414,6 +415,9 @@ def run_command(argv) -> int:
     except ScaleLabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

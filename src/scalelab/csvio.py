@@ -102,14 +102,8 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     if not columns[0]:
         raise DataError(f"{path!r} has no data rows")
 
-    ds = DataSet(
-        {
-            name: (values, unit)
-            for name, values, unit in zip(schema.names, columns, units)
-        }
-    )
-    for name in schema.names:
-        values = ds.column(name).values
+    arrays = [np.array(values, dtype=float) for values in columns]
+    for name, values in zip(schema.names, arrays):
         finite = np.isfinite(values)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -117,7 +111,12 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
                 f"line {lines[1 + row][0]}, column {name!r}: "
                 f"{float(values[row])!r} is not a finite number"
             )
-    return ds
+    return DataSet(
+        {
+            name: (values, unit)
+            for name, values, unit in zip(schema.names, arrays, units)
+        }
+    )
 
 
 def dump_csv(ds: DataSet) -> str:

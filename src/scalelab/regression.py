@@ -63,10 +63,11 @@ class Column(NamedTuple):
 
 
 class DataSet:
-    """Named columns of magnitudes, each bound to one unit.
+    """Named columns of finite magnitudes, each bound to one unit.
 
     Arrays are copied and frozen at construction; a dataset never changes
-    after it is built.
+    after it is built.  A NaN or infinite value is a :class:`DataError`
+    naming its column and row.
     """
 
     def __init__(self, columns: Mapping[str, tuple[Sequence[float], Unit]]):
@@ -83,6 +84,12 @@ class DataSet:
             elif arr.size != n:
                 raise DataError(
                     f"column {name!r} has {arr.size} rows, expected {n}"
+                )
+            finite = np.isfinite(arr)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise DataError(
+                    f"column {name!r}, row {row}: {float(arr[row])!r} is not a finite number"
                 )
             arr.setflags(write=False)
             self._columns[name] = Column(arr, unit)

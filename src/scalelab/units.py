@@ -9,6 +9,16 @@ numerator and denominator are bounded; arithmetic that would exceed the
 bound raises :class:`~scalelab.errors.CapacityError` rather than silently
 growing.
 
+Quantity arithmetic keeps its results inside the float range.  ``*``,
+``/``, ``**``, :func:`convert` and :func:`log_ratio` each compute their
+float through one guard, which raises :class:`~scalelab.errors.DataError`
+naming the operation and both operands when nonzero operands give 0
+("underflows a float to 0"), when the result is infinite or NaN
+("overflows a float"), or when the operation divides by zero ("divides by
+zero").  An in-range result is the plain float expression, bit for bit,
+so no result silently becomes 0 or inf and no float exception escapes as
+a traceback.
+
 All types here are immutable values and every operation is pure, so the
 module is safe for unrestricted concurrent use.  A registry is built once
 and then treated as read-only.
@@ -31,6 +41,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, truediv
 
 from .errors import (
     CapacityError,
@@ -273,6 +284,20 @@ def coherent_unit(dimension: Dimension) -> Unit:
     return Unit(symbol, dimension, 1.0)
 
 
+def _in_range(op, a: float, b: float, left, how: str, right) -> float:
+    """``op(a, b)``, or a DataError naming ``left how right`` if it leaves the float range."""
+    try:
+        value = op(a, b)
+    except ZeroDivisionError:
+        raise DataError(f"{left} {how} {right} divides by zero") from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value) or (value == 0 and a != 0 and b != 0):
+        ending = "overflows a float" if value else "underflows a float to 0"
+        raise DataError(f"{left} {how} {right} {ending}")
+    return value
+
+
 @dataclass(frozen=True)
 class Quantity:
     """A real magnitude bound to a unit.
@@ -316,19 +341,21 @@ class Quantity:
             raise DimensionMismatchError(self.dimension, other.dimension, "subtract")
         return Quantity(self.magnitude - other.to(self.unit).magnitude, self.unit)
 
-    def __mul__(self, other):
+    def _apply(self, op, how: str, other) -> Quantity:
         if isinstance(other, Quantity):
-            dim = self.dimension * other.dimension
-            return Quantity(self.si_value * other.si_value, coherent_unit(dim))
-        return Quantity(self.magnitude * float(other), self.unit)
+            dim = op(self.dimension, other.dimension)
+            magnitude = _in_range(op, self.si_value, other.si_value, self, how, other)
+            return Quantity(magnitude, coherent_unit(dim))
+        magnitude = _in_range(op, self.magnitude, float(other), self, how, other)
+        return Quantity(magnitude, self.unit)
+
+    def __mul__(self, other):
+        return self._apply(mul, "*", other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            dim = self.dimension / other.dimension
-            return Quantity(self.si_value / other.si_value, coherent_unit(dim))
-        return Quantity(self.magnitude / float(other), self.unit)
+        return self._apply(truediv, "/", other)
 
     def __pow__(self, exponent) -> Quantity:
         k = _as_exponent(exponent)
@@ -337,17 +364,8 @@ class Quantity:
                 f"cannot raise negative quantity {self} to fractional power {k}"
             )
         dim = self.dimension ** k
-        try:
-            magnitude = self.si_value ** float(k)
-        except OverflowError:
-            raise DataError(f"{self} to the power {k} overflows a float") from None
+        magnitude = _in_range(pow, self.si_value, float(k), self, "to the power", k)
         return Quantity(magnitude, coherent_unit(dim))
-
-    def ratio(self, other: Quantity) -> float:
-        """Dimensionless ratio of two commensurable quantities."""
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(self.dimension, other.dimension, "ratio")
-        return self.si_value / other.si_value
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit.symbol}"
@@ -409,7 +427,10 @@ class UnitRegistry:
             unit = self.symbol(symbol)
             p, q = _parse_rational(exp_text) if caret else (1, 1)
             dim = dim.combine(unit.dimension, p if q == 1 else Fraction(p, q))
-            scale *= unit.scale ** (p / q)
+            try:
+                scale *= unit.scale ** (p / q)
+            except OverflowError:  # Unit rejects it, as it rejects a 0 scale
+                scale = math.inf
             normalized.append(symbol if p == q else f"{symbol}^{_fraction_text(p, q)}")
         return Unit(" ".join(normalized), dim, scale)
 
@@ -457,7 +478,8 @@ def convert(quantity: Quantity, target: Unit) -> Quantity:
         raise DimensionMismatchError(
             quantity.dimension, target.dimension, f"convert {quantity} to {target.symbol}"
         )
-    return Quantity(quantity.magnitude * quantity.unit.scale / target.scale, target)
+    si = _in_range(mul, quantity.magnitude, quantity.unit.scale, quantity, "to", target)
+    return Quantity(_in_range(truediv, si, target.scale, quantity, "to", target), target)
 
 
 def log_ratio(quantity: Quantity, reference: Quantity) -> float:
@@ -476,7 +498,8 @@ def log_ratio(quantity: Quantity, reference: Quantity) -> float:
             f"log_ratio requires strictly positive magnitudes, got "
             f"{quantity} and {reference}"
         )
-    return math.log(quantity.si_value / reference.si_value)
+    ratio = _in_range(truediv, quantity.si_value, reference.si_value, quantity, "/", reference)
+    return math.log(ratio)
 
 
 @functools.lru_cache(maxsize=1)

@@ -69,6 +69,12 @@ def test_blast_radius_rejects_wrong_dimensions():
         blast_radius(cfg, parse_quantity("1 kg"), parse_quantity("1 s"))
 
 
+@pytest.mark.parametrize("prefactor", [math.inf, -math.inf, math.nan])
+def test_blast_config_rejects_a_non_finite_prefactor(prefactor):
+    with pytest.raises(DataError, match=r"^blast prefactor must be finite, got -?(inf|nan)$"):
+        BlastConfig(prefactor=prefactor)
+
+
 def test_blast_config_validates():
     with pytest.raises(DataError):
         BlastConfig(prefactor=-1.0)

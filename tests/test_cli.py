@@ -261,6 +261,31 @@ def test_derive_impossible_target_exits_2(capsys):
     assert "impossible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent", ["100", "-100"])
+def test_derive_unit_scale_out_of_float_range_exits_2(exponent, capsys):
+    # yr^100 overflows a float and yr^-100 underflows to 0; neither is a scale.
+    code = run_command(["derive", "--target", "y:m", "--params", f"a:yr^{exponent}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: unit 'yr^{exponent}' must have a positive finite scale\n"
+    )
+
+
+def test_internal_error_is_one_line_and_exit_3(monkeypatch, capsys):
+    import scalelab.cli as cli
+
+    def broken(args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "_cmd_hull", broken)
+    assert run_command(["predict", "hull", "--length", "30 ft"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: handler broke\n"
+
+
 def test_pi_command(capsys):
     code = run_command(
         ["pi", "--quantities", "E:J,t:s,rho:kg m^-3,r:m"]
@@ -468,13 +493,13 @@ def test_predict_fall_command(capsys):
     "argv, message",
     [
         (["fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg", "--mass", "1e-320 g"],
-         "mass ratio 9.99989e-321 g / 200 kg underflows a float to 0"),
+         "9.99989e-321 g / 200 kg underflows a float to 0"),
         (["roast", "--mass", "1e-320 g", "--ref-mass", "200 kg", "--ref-time", "1 hr"],
-         "mass ratio 9.99989e-321 g / 200 kg underflows a float to 0"),
+         "9.99989e-321 g / 200 kg underflows a float to 0"),
         (["fall", "--ref-speed", "150 mph", "--ref-mass", "1e-300 g", "--mass", "1e300 kg"],
-         "mass ratio 1e+300 kg / 1e-300 g overflows a float"),
+         "1e+300 kg / 1e-300 g overflows a float"),
         (["roast", "--mass", "1e300 kg", "--ref-mass", "1e-300 g", "--ref-time", "1 hr"],
-         "mass ratio 1e+300 kg / 1e-300 g overflows a float"),
+         "1e+300 kg / 1e-300 g overflows a float"),
     ],
     ids=["fall-underflow", "roast-underflow", "fall-overflow", "roast-overflow"],
 )
@@ -490,11 +515,12 @@ def test_predict_mass_ratio_out_of_float_range_exits_2(argv, message, capsys):
     "argv, message",
     [
         (["fall", "--ref-speed", "1e-300 m/s", "--ref-mass", "1 kg", "--mass", "1e-300 kg"],
-         "evaluating 'v ~ m^1/6' underflows a float to 0"),
+         "evaluating 'v ~ m^1/6': 1e-50 1 * 1e-300 m s^-1 underflows a float to 0"),
         (["roast", "--mass", "1e-300 kg", "--ref-mass", "1 kg", "--ref-time", "1e-200 hr"],
-         "evaluating 't ~ kappa^-1 m^2/3' underflows a float to 0"),
+         "evaluating 't ~ kappa^-1 m^2/3': 1e-200 1 * 3.6e-197 s underflows a float to 0"),
         (["blast", "--energy", "1e-300 J", "--time", "1e-300 s", "--prefactor", "1e-200"],
-         "evaluating 'r ~ E^1/5 rho^-1/5 t^2/5' underflows a float to 0"),
+         "evaluating 'r ~ E^1/5 rho^-1/5 t^2/5': 1e-120 s^2/5 * 9.64193e-261 m s^-2/5 "
+         "underflows a float to 0"),
     ],
     ids=["fall", "roast", "blast"],
 )
@@ -504,6 +530,15 @@ def test_predict_underflow_exits_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_predict_result_underflowing_in_the_reference_unit_exits_2(capsys):
+    # The time is 3.2e-317 s, but in years it rounds to 0.
+    argv = ["roast", "--mass", "1e-36 kg", "--ref-mass", "1 kg", "--ref-time", "1e-300 yr"]
+    assert run_command(["predict", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 3.1557e-317 s to yr underflows a float to 0\n"
 
 
 def test_predict_input_underflowing_in_si_exits_2(capsys):

@@ -1,0 +1,176 @@
+"""Generated command lines and CSV files through the whole CLI.
+
+Every run must end with exit 0, 1 (usage) or 2 (data), never a traceback
+or the internal-error exit 3, and a successful run must print no NaN, no
+infinity and no prediction that rounded to 0.  The settings are fixed and
+derandomized, so the suite runs the same examples every time.
+"""
+
+import contextlib
+import io
+import re
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from scalelab.cli import run_command
+from scalelab.units import default_registry
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+MAGNITUDES = ("0", "-1", "1e-320", "1e-300", "1", "1e300", "1e308", "inf", "nan")
+EXPONENTS = ("", "^-1", "^100", "^-100", "^1/3", "^2147483648")
+SYMBOLS = tuple(sorted(unit.symbol for unit in default_registry()))
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check(argv):
+    code, out, err = run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        assert not NON_FINITE.search(out), (argv, out)
+        assert "prediction: 0 " not in out, (argv, out)
+    return code
+
+
+def unit_expressions(symbols=SYMBOLS):
+    """One or two registry symbols, each with an exponent from EXPONENTS."""
+    token = st.builds(lambda s, e: s + e, st.sampled_from(symbols), st.sampled_from(EXPONENTS))
+    return st.lists(token, min_size=1, max_size=2).map(" ".join)
+
+
+def quantities(*natural):
+    """``"<magnitude> <unit>"``.  Given the flag's natural units, three in
+    four are a positive magnitude in one of them, so that most cases can
+    succeed; the rest take any magnitude and unit expression."""
+    wild = st.builds(lambda m, u: f"{m} {u}", st.sampled_from(MAGNITUDES), unit_expressions())
+    if not natural:
+        return wild
+    positive = st.sampled_from([m for m in MAGNITUDES if float(m) > 0])
+    sane = st.builds(lambda m, u: f"{m} {u}", positive, st.sampled_from(natural))
+    return st.one_of(sane, sane, sane, wild)
+
+
+names = st.sampled_from(("a", "b", "c", "E", "rho", "t", "y"))
+named = st.builds(lambda n, d: f"{n}:{d}", names, unit_expressions() | quantities())
+named_lists = st.lists(named, min_size=1, max_size=4).map(",".join)
+json_flag = st.sampled_from(([], ["--json"]))
+
+
+@st.composite
+def argv_lists(draw):
+    command = draw(st.sampled_from(("derive", "pi", "blast", "roast", "hull", "fall")))
+    if command == "derive":
+        return ["derive", "--target", draw(named), "--params", draw(named_lists)]
+    if command == "pi":
+        return ["pi", "--quantities", draw(named_lists)]
+    mass, time = quantities("kg", "g"), quantities("s", "hr", "yr")
+    if command == "roast":
+        flags = ["--mass", draw(mass), "--ref-mass", draw(mass), "--ref-time", draw(time)]
+    elif command == "hull":
+        flags = ["--length", draw(quantities("m", "ft"))]
+    elif command == "fall":
+        speed = quantities("m/s", "mph", "knot")
+        flags = ["--ref-speed", draw(speed), "--ref-mass", draw(mass), "--mass", draw(mass)]
+    else:
+        length = quantities("m", "ft")
+        if draw(st.booleans()):
+            flags = ["--energy", draw(quantities("J")), "--time", draw(time)]
+        else:
+            pairs = st.lists(st.builds(lambda r, t: f"{r} @ {t}", length, time),
+                             min_size=1, max_size=2)
+            flags = [f for pair in draw(pairs) for f in ("--obs", pair)]
+        if draw(st.booleans()):
+            flags += ["--prefactor", draw(st.sampled_from(MAGNITUDES))]
+        if draw(st.booleans()):
+            flags += ["--rho", draw(quantities("kg m^-3"))]
+    return ["predict", command, *flags, *draw(json_flag)]
+
+
+@FUZZ
+@given(argv_lists())
+@example(["predict", "roast", "--mass", "1e-36 kg", "--ref-mass", "1 kg",
+          "--ref-time", "1e-300 yr"])
+@example(["derive", "--target", "y:m", "--params", "a:yr^100"])
+@example(["predict", "blast", "--energy", "1 J", "--time", "1 s", "--prefactor", "inf"])
+@example(["predict", "blast", "--obs", "1e300 m @ 1 s"])
+def test_generated_command_lines(argv):
+    check(argv)
+
+
+CELLS = ("1e-320", "nan", "1e400", "", "0", "-1", "1e300", "1e-300", "inf")
+CSV_UNITS = ("m", "ft", "kg", "g", "s", "yr", "W", "GBP", "yr^100", "m^1/3")
+# Three in four units are lengths, so that many references match their column.
+length = st.sampled_from(("m", "ft"))
+csv_units = st.one_of(length, length, length, st.sampled_from(CSV_UNITS))
+
+
+@st.composite
+def csv_texts(draw):
+    """A header of 2-3 ``name[unit]`` columns and 2-8 rows of positive
+    numbers, with up to two cells swapped for awkward ones and, sometimes,
+    a ragged row."""
+    columns = draw(st.sampled_from((("x", "y"), ("x", "y", "c"))))
+    units = [draw(csv_units) for _ in columns]
+    positive = st.floats(min_value=1e-3, max_value=1e3).map(repr)
+    rows = draw(st.lists(st.lists(positive, min_size=len(columns), max_size=len(columns)),
+                         min_size=2, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, len(columns) - 1))] = draw(st.sampled_from(CELLS))
+    if draw(st.integers(0, 4)) == 0:
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row] = rows[row][:-1] if draw(st.booleans()) else rows[row] + ["1"]
+    header = ",".join(f"{name}[{unit}]" for name, unit in zip(columns, units))
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+@st.composite
+def csv_commands(draw):
+    """A fit, unit-change or plot command line on ``CSV``, drawing to ``SVG``."""
+    command = draw(st.sampled_from(("fit", "unit-change", "plot")))
+    flags = ["--csv", "CSV", "--x", "x", "--y", "y"]
+    if draw(st.booleans()):
+        flags += ["--x0", draw(csv_units)]
+    quadratic = draw(st.sampled_from(([], ["--quadratic"])))
+    if command == "fit":
+        covariate = draw(st.sampled_from(([], ["--covariate", "c"])))
+        return ["fit", *flags, *covariate, *quadratic, *draw(json_flag)]
+    if command == "unit-change":
+        new_x0 = draw(csv_units)
+        return ["diagnose", "unit-change", *flags, *quadratic, "--new-x0", new_x0,
+                *draw(json_flag)]
+    fit_line = draw(st.sampled_from(([], ["--fit"])))
+    return ["plot", *flags, "--out", "SVG", *fit_line, *quadratic]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(csv_texts(), csv_commands())
+@example("x[g],y[W]\n1e-320,1\n2,3\n", ["diagnose", "unit-change", "--csv", "CSV", "--x", "x",
+                                      "--y", "y", "--new-x0", "kg"])
+@example("x[m],y[m],c[yr]\n1,2,nan\n2,3,1\n3,5,2\n", ["fit", "--csv", "CSV", "--x", "x",
+                                                     "--y", "y", "--covariate", "c"])
+def test_generated_csv_files(workdir, text, argv):
+    path, out = workdir / "data.csv", workdir / "plot.svg"
+    path.write_text(text, encoding="utf-8")
+    check([{"CSV": str(path), "SVG": str(out)}.get(arg, arg) for arg in argv])

@@ -416,6 +416,14 @@ def test_dataset_rejects_ragged_columns():
         DataSet({"a": ([1.0, 2.0], M), "b": ([1.0], M)})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_values(bad):
+    values = [1.0, 2.0, bad, 4.0, bad]
+    with pytest.raises(DataError) as info:
+        DataSet({"x": ([1.0, 2.0, 3.0, 4.0, 5.0], M), "age": (values, YR)})
+    assert str(info.value) == f"column 'age', row 2: {float(bad)!r} is not a finite number"
+
+
 def test_dataset_unknown_column():
     ds = power_law_dataset(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DataError, match="no column"):

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,92 @@ def test_quantity_pow_negative_base_fractional_exponent():
 def test_quantity_pow_overflow_is_a_data_error():
     with pytest.raises(DataError, match="overflows"):
         parse_quantity("1e200 s") ** 2
+
+
+@pytest.mark.parametrize(
+    "compute, message",
+    [
+        (lambda: parse_quantity("0 m") ** -1, "0 m to the power -1 divides by zero"),
+        (lambda: parse_quantity("1 m") / 0, "1 m / 0 divides by zero"),
+        (lambda: parse_quantity("1 m") / parse_quantity("0 s"), "1 m / 0 s divides by zero"),
+        (lambda: parse_quantity("1e-200 m") * parse_quantity("1e-200 m"),
+         "1e-200 m * 1e-200 m underflows a float to 0"),
+        (lambda: parse_quantity("1e200 m") * 1e200, "1e+200 m * 1e+200 overflows a float"),
+        (lambda: 1e-200 * parse_quantity("1e-200 m"), "1e-200 m * 1e-200 underflows a float to 0"),
+        (lambda: parse_quantity("1 m") * math.inf, "1 m * inf overflows a float"),
+        (lambda: parse_quantity("1 m") * math.nan, "1 m * nan overflows a float"),
+        (lambda: parse_quantity("1e100 m") ** 5, "1e+100 m to the power 5 overflows a float"),
+        (lambda: parse_quantity("1e-200 m") ** 2, "1e-200 m to the power 2 underflows a float to 0"),
+        (lambda: convert(parse_quantity("1e-322 g"), REG.symbol("kg")),
+         "9.88131e-323 g to kg underflows a float to 0"),
+        (lambda: convert(parse_quantity("1e-320 s"), REG.symbol("yr")),
+         "9.99989e-321 s to yr underflows a float to 0"),
+        (lambda: convert(parse_quantity("1e308 yr"), REG.symbol("s")),
+         "1e+308 yr to s overflows a float"),
+        (lambda: log_ratio(parse_quantity("1e-300 m"), parse_quantity("1e300 m")),
+         "1e-300 m / 1e+300 m underflows a float to 0"),
+        (lambda: log_ratio(parse_quantity("1e300 m"), parse_quantity("1e-300 m")),
+         "1e+300 m / 1e-300 m overflows a float"),
+    ],
+    ids=["zero-to-negative-power", "div-by-zero-scalar", "div-by-zero-quantity",
+         "mul-underflow", "mul-overflow", "rmul-underflow", "mul-inf", "mul-nan",
+         "pow-overflow", "pow-underflow", "convert-si-underflow", "convert-underflow",
+         "convert-overflow", "log-ratio-underflow", "log-ratio-overflow"],
+)
+def test_arithmetic_leaving_the_float_range_names_the_operation(compute, message):
+    with pytest.raises(DataError) as info:
+        compute()
+    assert str(info.value) == message
+
+
+def test_arithmetic_on_zero_quantities_is_zero():
+    zero, one = parse_quantity("0 m"), parse_quantity("1 m")
+    assert (zero * one).magnitude == 0
+    assert (zero / one).magnitude == 0
+    assert (zero * 5).magnitude == 0
+    assert (one * 0).magnitude == 0
+    assert (zero ** 2).magnitude == 0
+    assert convert(zero, REG.symbol("ft")).magnitude == 0
+
+
+def _in_range_model(op, x, y):
+    """``op(x, y)``, or None where the arithmetic must raise DataError."""
+    try:
+        value = op(x, y)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not math.isfinite(value) or (value == 0 and x != 0 and y != 0):
+        return None
+    return value
+
+
+wide_floats = st.floats(allow_nan=False, allow_infinity=False)
+scales = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@given(wide_floats, wide_floats, scales, scales)
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_is_the_plain_float_expression_or_a_data_error(a, b, s1, s2):
+    # In range, every result is bit-identical to the unguarded expression
+    # evaluated in the same order; out of range it is a DataError.
+    q1, q2 = Quantity(a, Unit("u1", LENGTH, s1)), Quantity(b, Unit("u2", TIME, s2))
+    ft = REG.symbol("ft")
+    si = _in_range_model(operator.mul, a, s1)
+    cases = [
+        (lambda: q1 * q2, _in_range_model(operator.mul, q1.si_value, q2.si_value)),
+        (lambda: q1 / q2, _in_range_model(operator.truediv, q1.si_value, q2.si_value)),
+        (lambda: q1 * b, _in_range_model(operator.mul, a, b)),
+        (lambda: q1 / b, _in_range_model(operator.truediv, a, b)),
+        (lambda: q1 ** 3, _in_range_model(operator.pow, q1.si_value, 3.0)),
+        (lambda: convert(q1, ft),
+         None if si is None else _in_range_model(operator.truediv, si, ft.scale)),
+    ]
+    for guarded, expected in cases:
+        if expected is None:
+            with pytest.raises(DataError):
+                guarded()
+        else:
+            assert guarded().magnitude == expected
 
 
 # ---------------------------------------------------------------------------
