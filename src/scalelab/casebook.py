@@ -122,16 +122,18 @@ class CaseReport:
 
 def _check_inputs(*rows: tuple[Quantity, Dimension, str]) -> None:
     """Each ``(quantity, dimension, what)`` row must have that dimension and
-    a positive magnitude that stays nonzero in SI units; every dimension is
-    checked before any sign."""
+    a positive magnitude that stays nonzero and finite in SI units; every
+    dimension is checked before any sign."""
     for quantity, dimension, what in rows:
         if quantity.dimension != dimension:
             raise DimensionMismatchError(quantity.dimension, dimension, what)
     for quantity, _, what in rows:
         if not quantity.magnitude > 0:
             raise DataError(f"{what} must be positive, got {quantity}")
-        if quantity.si_value == 0:
-            raise DataError(f"{what} {quantity} underflows a float to 0 in SI units")
+        si = quantity.si_value
+        if si == 0 or not math.isfinite(si):
+            ending = "underflows a float to 0" if si == 0 else "overflows a float"
+            raise DataError(f"{what} {quantity} {ending} in SI units")
 
 
 @functools.cache

@@ -5,7 +5,9 @@ Subcommands: ``derive``, ``pi``, ``fit``, ``diagnose unit-change``,
 Exit codes: 0 on success, 1 on usage errors, 2 on data or dimension
 errors, 3 on an internal error (a bug, reported in one line).  Reports
 print numbers to 6 significant digits; pass ``--json`` for a flat
-full-precision dump.
+full-precision dump.  A worked case that takes only quantities is one row
+of the case table below: its subcommand, help text and quantity flags in
+the order its casebook ``<case>_report`` function takes them.
 
 Quantities on the command line follow the same grammar as everywhere
 else: ``"<number> <unit-expression>"``, e.g. ``--mass "5 kg"``.  Dimension
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -56,7 +59,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _parse_named_dimension(text: str, registry):
+def _parse_named_dimension(text: str):
     """Parse ``name:<unit-expr>`` or ``name:<number> <unit-expr>``."""
     name, sep, rest = text.partition(":")
     name = name.strip()
@@ -69,17 +72,27 @@ def _parse_named_dimension(text: str, registry):
     try:
         float(first)
     except ValueError:
-        return name, registry.resolve(rest).dimension
-    return name, parse_quantity(rest, registry).dimension
+        return name, default_registry().resolve(rest).dimension
+    return name, parse_quantity(rest).dimension
 
 
-def _parse_quantity_list(text: str, registry):
+def _parse_quantity_list(text: str):
     items = [item for item in text.split(",") if item.strip()]
     if not items:
         raise QuantityParseError("expected a comma-separated list of quantities")
-    return [_parse_named_dimension(item, registry) for item in items]
+    return [_parse_named_dimension(item) for item in items]
 
 
+# subcommand, help, quantity flags in the order ``<subcommand>_report`` takes them
+_CASES = (
+    ("roast", "roasting time from a reference", ("--mass", "--ref-mass", "--ref-time")),
+    ("hull", "displacement-hull speed limit", ("--length",)),
+    ("fall", "terminal velocity across masses", ("--ref-speed", "--ref-mass", "--mass")),
+)
+
+
+# Built once per process: parsing leaves a parser unchanged, so runs share it.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scalelab", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -97,7 +110,6 @@ def _build_parser() -> _Parser:
     _add_fit_arguments(fit)
     fit.add_argument("--covariate", action="append", default=[], metavar="COL[:UNIT]")
     fit.add_argument("--quadratic", action="store_true")
-    fit.add_argument("--json", action="store_true")
     fit.set_defaults(handler=_cmd_fit)
 
     diagnose = commands.add_parser("diagnose", help="fit diagnostics")
@@ -111,7 +123,6 @@ def _build_parser() -> _Parser:
     _add_fit_arguments(unit_change)
     unit_change.add_argument("--quadratic", action="store_true")
     unit_change.add_argument("--new-x0", required=True, metavar="UNIT")
-    unit_change.add_argument("--json", action="store_true")
     unit_change.set_defaults(handler=_cmd_unit_change)
 
     residuals = diagnose_sub.add_parser(
@@ -121,7 +132,6 @@ def _build_parser() -> _Parser:
     residuals.add_argument("--row", action="append", required=True, type=int,
                            metavar="INDEX", help="pass twice: row A, then row B")
     residuals.add_argument("--space", choices=["log", "natural"], default="log")
-    residuals.add_argument("--json", action="store_true")
     residuals.set_defaults(handler=_cmd_residuals)
 
     predict = commands.add_parser("predict", help="run a worked case")
@@ -136,27 +146,17 @@ def _build_parser() -> _Parser:
                        help="observed radius/time pair; repeat to combine")
     blast.add_argument("--rho", default="1.2 kg m^-3", metavar="QTY")
     blast.add_argument("--prefactor", type=float, default=1.0, metavar="C")
-    blast.add_argument("--json", action="store_true")
     blast.set_defaults(handler=_cmd_blast)
 
-    roast = predict_sub.add_parser("roast", help="roasting time from a reference")
-    roast.add_argument("--mass", required=True, metavar="QTY")
-    roast.add_argument("--ref-mass", required=True, metavar="QTY")
-    roast.add_argument("--ref-time", required=True, metavar="QTY")
-    roast.add_argument("--json", action="store_true")
-    roast.set_defaults(handler=_cmd_roast)
+    cases = []
+    for case, help_text, flags in _CASES:
+        sub = predict_sub.add_parser(case, help=help_text)
+        dests = [sub.add_argument(flag, required=True, metavar="QTY").dest for flag in flags]
+        sub.set_defaults(handler=_cmd_case, quantities=dests)
+        cases.append(sub)
 
-    hull = predict_sub.add_parser("hull", help="displacement-hull speed limit")
-    hull.add_argument("--length", required=True, metavar="QTY")
-    hull.add_argument("--json", action="store_true")
-    hull.set_defaults(handler=_cmd_hull)
-
-    fall = predict_sub.add_parser("fall", help="terminal velocity across masses")
-    fall.add_argument("--ref-speed", required=True, metavar="QTY")
-    fall.add_argument("--ref-mass", required=True, metavar="QTY")
-    fall.add_argument("--mass", required=True, metavar="QTY")
-    fall.add_argument("--json", action="store_true")
-    fall.set_defaults(handler=_cmd_fall)
+    for sub in (fit, unit_change, residuals, blast, *cases):
+        sub.add_argument("--json", action="store_true")
 
     plot = commands.add_parser("plot", help="log-log scatter plot as SVG")
     _add_fit_arguments(plot)
@@ -176,16 +176,17 @@ def _add_fit_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--y0", metavar="UNIT", help="response reference unit")
 
 
-def _load_with_spec(args, quadratic: bool = False, covariates=()):
+def _load_with_spec(args):
+    """The dataset and model spec that a fit-family command's flags name."""
     from .csvio import load_csv
     from .regression import ModelSpec
 
     registry = default_registry()
-    ds = load_csv(args.csv, registry)
+    ds = load_csv(args.csv)
     x0 = registry.resolve(args.x0) if args.x0 else ds.column(args.x).unit
     y0 = registry.resolve(args.y0) if args.y0 else ds.column(args.y).unit
     parsed_covariates = []
-    for item in covariates:
+    for item in getattr(args, "covariate", ()):
         name, sep, unit_expr = item.partition(":")
         unit = registry.resolve(unit_expr) if sep else ds.column(name).unit
         parsed_covariates.append((name, unit))
@@ -194,20 +195,15 @@ def _load_with_spec(args, quadratic: bool = False, covariates=()):
         response_reference=y0,
         predictor=args.x,
         predictor_reference=x0,
-        include_quadratic=quadratic,
+        include_quadratic=getattr(args, "quadratic", False),
         covariates=tuple(parsed_covariates),
     )
-    return registry, ds, spec
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload))
+    return ds, spec
 
 
 def _cmd_derive(args) -> int:
-    registry = default_registry()
-    name, target = _parse_named_dimension(args.target, registry)
-    params = _parse_quantity_list(args.params, registry)
+    name, target = _parse_named_dimension(args.target)
+    params = _parse_quantity_list(args.params)
     try:
         relation = solve_target_exponents(target, params, target_name=name)
     except UnderdeterminedError as err:
@@ -221,8 +217,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    registry = default_registry()
-    quantities = _parse_quantity_list(args.quantities, registry)
+    quantities = _parse_quantity_list(args.quantities)
     groups = pi_basis(quantities)
     if not groups:
         print("no dimensionless groups")
@@ -235,10 +230,10 @@ def _cmd_pi(args) -> int:
 def _cmd_fit(args) -> int:
     from .regression import fit
 
-    _, ds, spec = _load_with_spec(args, args.quadratic, args.covariate)
+    ds, spec = _load_with_spec(args)
     result = fit(ds, spec)
     if args.json:
-        _print_json(dict(result.report_fields()))
+        print(json.dumps(dict(result.report_fields())))
     else:
         print(result.report())
     return 0
@@ -247,9 +242,9 @@ def _cmd_fit(args) -> int:
 def _cmd_unit_change(args) -> int:
     from .regression import fit, transform_under_unit_change
 
-    registry, ds, spec = _load_with_spec(args, args.quadratic)
+    ds, spec = _load_with_spec(args)
     original = fit(ds, spec)
-    new_x0 = registry.resolve(args.new_x0)
+    new_x0 = default_registry().resolve(args.new_x0)
     transformed = transform_under_unit_change(original, new_x0)
     refit = fit(ds, dataclasses.replace(spec, predictor_reference=new_x0))
     labels = transformed.coefficient_labels()
@@ -261,7 +256,7 @@ def _cmd_unit_change(args) -> int:
         for label, t, r in zip(labels, t_vec, r_vec):
             payload[f"transformed[{label}]"] = float(t)
             payload[f"refit[{label}]"] = float(r)
-        _print_json(payload)
+        print(json.dumps(payload))
         return 0
     print(f"reference change: {spec.predictor_reference.symbol} -> {new_x0.symbol}")
     print(f"{'coefficient':<14}{'transformed':>16}{'refit':>16}{'|difference|':>16}")
@@ -277,7 +272,7 @@ def _cmd_residuals(args) -> int:
         raise _UsageError("--row must be given exactly twice (rows A and B)", "")
     from .regression import fit, residual_distance_ratio
 
-    _, ds, spec = _load_with_spec(args)
+    ds, spec = _load_with_spec(args)
     result = fit(ds, spec)
     x_col = ds.column(spec.predictor)
     y_col = ds.column(spec.response)
@@ -295,8 +290,8 @@ def _cmd_residuals(args) -> int:
         )
     ratio = residual_distance_ratio(points[0], points[1], result, space=args.space)
     if args.json:
-        _print_json({"space": args.space, "row_a": args.row[0],
-                     "row_b": args.row[1], "distance_ratio": ratio})
+        print(json.dumps({"space": args.space, "row_a": args.row[0],
+                          "row_b": args.row[1], "distance_ratio": ratio}))
     else:
         print(
             f"|residual(row {args.row[0]})| / |residual(row {args.row[1]})| "
@@ -318,17 +313,14 @@ def _report_out(report, as_json: bool) -> int:
         if report.display is not None:
             payload["display"] = report.display.magnitude
             payload["display_unit"] = report.display.unit.symbol
-        _print_json(payload)
+        print(json.dumps(payload))
     else:
         print(report.render())
     return 0
 
 
 def _cmd_blast(args) -> int:
-    registry = default_registry()
-    cfg = BlastConfig(
-        prefactor=args.prefactor, rho=parse_quantity(args.rho, registry)
-    )
+    cfg = BlastConfig(prefactor=args.prefactor, rho=parse_quantity(args.rho))
     if args.obs:
         if args.energy or args.time:
             raise _UsageError("--obs excludes --energy/--time", "")
@@ -339,41 +331,20 @@ def _cmd_blast(args) -> int:
                 raise QuantityParseError(
                     f"expected 'RADIUS @ TIME', got {item!r}"
                 )
-            observations.append(
-                (parse_quantity(left, registry), parse_quantity(right, registry))
-            )
+            observations.append((parse_quantity(left), parse_quantity(right)))
         return _report_out(yield_report(cfg, observations), args.json)
     if not (args.energy and args.time):
         raise _UsageError("blast needs --energy and --time, or --obs", "")
-    report = blast_report(
-        cfg, parse_quantity(args.energy, registry), parse_quantity(args.time, registry)
-    )
+    report = blast_report(cfg, parse_quantity(args.energy), parse_quantity(args.time))
     return _report_out(report, args.json)
 
 
-def _cmd_roast(args) -> int:
-    registry = default_registry()
-    report = roast_report(
-        parse_quantity(args.mass, registry),
-        parse_quantity(args.ref_mass, registry),
-        parse_quantity(args.ref_time, registry),
-    )
-    return _report_out(report, args.json)
-
-
-def _cmd_hull(args) -> int:
-    report = hull_report(parse_quantity(args.length, default_registry()))
-    return _report_out(report, args.json)
-
-
-def _cmd_fall(args) -> int:
-    registry = default_registry()
-    report = fall_report(
-        parse_quantity(args.ref_speed, registry),
-        parse_quantity(args.ref_mass, registry),
-        parse_quantity(args.mass, registry),
-    )
-    return _report_out(report, args.json)
+def _cmd_case(args) -> int:
+    # Looked up when the command runs, so a rebound module attribute is the
+    # report that runs.
+    report = globals()[f"{args.case}_report"]
+    quantities = [parse_quantity(getattr(args, dest)) for dest in args.quantities]
+    return _report_out(report(*quantities), args.json)
 
 
 def _cmd_plot(args) -> int:
@@ -381,7 +352,7 @@ def _cmd_plot(args) -> int:
     from .regression import fit
     from .svgplot import PlotSpec, emit_svg_plot
 
-    _, ds, spec = _load_with_spec(args, args.quadratic)
+    ds, spec = _load_with_spec(args)
     result = fit(ds, spec) if args.fit_line else None
     plot_spec = PlotSpec(
         x=spec.predictor,

@@ -274,13 +274,27 @@ class FitResult:
 
 
 def _ratio_column(ds: DataSet, name: str, reference: Unit, what: str) -> np.ndarray:
-    """Column ``name`` as pure numbers: its values over the reference unit."""
+    """Column ``name`` as pure numbers: its values over the reference unit.
+
+    A value that leaves the float range in the reference unit, infinite or
+    nonzero turned 0, is a DataError naming its column, row and both units.
+    """
     col = ds.column(name)
     if col.unit.dimension != reference.dimension:
         raise DimensionMismatchError(
             col.unit.dimension, reference.dimension, f"{what} column {name!r}"
         )
-    return col.values * (col.unit.scale / reference.scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = col.values * (col.unit.scale / reference.scale)
+    bad = np.nonzero(~np.isfinite(ratios) | ((ratios == 0) & (col.values != 0)))[0]
+    if bad.size:
+        row = int(bad[0])
+        ending = "underflows a float to 0" if ratios[row] == 0 else "overflows a float"
+        raise DataError(
+            f"column {name!r}, row {row}: {col.values[row]:g} {col.unit.symbol} "
+            f"to {reference.symbol} {ending}"
+        )
+    return ratios
 
 
 def _log_ratio_column(
@@ -415,7 +429,9 @@ def fit_quadratic_log(ds: DataSet, spec: ModelSpec) -> FitResult:
 def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResult:
     """Re-express a fit against a new predictor reference unit, exactly.
 
-    With ``shift = log(x0_new / x0_old)`` the log abscissa translates as
+    With ``shift = log(x0_new / x0_old)``, computed as a difference of logs
+    so that a ratio beyond the float range still gives a finite shift, the
+    log abscissa translates as
     ``log(x/x0_new) = log(x/x0_old) - shift`` and the coefficients become
 
     ``alpha -> alpha + beta*shift + gamma*shift^2``
@@ -434,7 +450,7 @@ def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResul
         raise DimensionMismatchError(
             new_reference.dimension, old.dimension, "new predictor reference"
         )
-    shift = math.log(new_reference.scale / old.scale)
+    shift = math.log(new_reference.scale) - math.log(old.scale)
 
     transform = np.eye(fit.p)
     transform[0, 1] = shift

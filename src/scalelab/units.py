@@ -9,15 +9,16 @@ numerator and denominator are bounded; arithmetic that would exceed the
 bound raises :class:`~scalelab.errors.CapacityError` rather than silently
 growing.
 
-Quantity arithmetic keeps its results inside the float range.  ``*``,
-``/``, ``**``, :func:`convert` and :func:`log_ratio` each compute their
-float through one guard, which raises :class:`~scalelab.errors.DataError`
-naming the operation and both operands when nonzero operands give 0
-("underflows a float to 0"), when the result is infinite or NaN
-("overflows a float"), or when the operation divides by zero ("divides by
-zero").  An in-range result is the plain float expression, bit for bit,
-so no result silently becomes 0 or inf and no float exception escapes as
-a traceback.
+Quantity arithmetic keeps its results inside the float range.  ``+``,
+``-``, ``*``, ``/``, ``**``, :func:`convert` (and so
+:meth:`Quantity.in_si`) and :func:`log_ratio` each compute their float
+through one guard, which raises :class:`~scalelab.errors.DataError` naming
+the operation and both operands when a product, quotient or power of
+nonzero operands gives 0 ("underflows a float to 0"), when the result is
+infinite or NaN ("overflows a float"), or when the operation divides by
+zero ("divides by zero").  An in-range result is the plain float
+expression, bit for bit, so no result silently becomes 0 or inf and no
+float exception escapes as a traceback.
 
 All types here are immutable values and every operation is pure, so the
 module is safe for unrestricted concurrent use.  A registry is built once
@@ -41,7 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, truediv
+from operator import add, mul, sub, truediv
 
 from .errors import (
     CapacityError,
@@ -285,14 +286,20 @@ def coherent_unit(dimension: Dimension) -> Unit:
 
 
 def _in_range(op, a: float, b: float, left, how: str, right) -> float:
-    """``op(a, b)``, or a DataError naming ``left how right`` if it leaves the float range."""
+    """``op(a, b)``, or a DataError naming ``left how right`` if it leaves the float range.
+
+    A sum or difference of floats is 0 only when it cancels exactly, never
+    by underflow, so only a product, quotient or power of nonzero operands
+    counts a 0 as underflow.
+    """
     try:
         value = op(a, b)
     except ZeroDivisionError:
         raise DataError(f"{left} {how} {right} divides by zero") from None
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value) or (value == 0 and a != 0 and b != 0):
+    underflow = value == 0 and a != 0 and b != 0 and op not in (add, sub)
+    if not math.isfinite(value) or underflow:
         ending = "overflows a float" if value else "underflows a float to 0"
         raise DataError(f"{left} {how} {right} {ending}")
     return value
@@ -329,17 +336,19 @@ class Quantity:
         return convert(self, target)
 
     def in_si(self) -> Quantity:
-        return Quantity(self.si_value, coherent_unit(self.dimension))
+        return convert(self, coherent_unit(self.dimension))
+
+    def _sum(self, op, how: str, other: Quantity, what: str) -> Quantity:
+        if self.dimension != other.dimension:
+            raise DimensionMismatchError(self.dimension, other.dimension, what)
+        theirs = other.to(self.unit).magnitude
+        return Quantity(_in_range(op, self.magnitude, theirs, self, how, other), self.unit)
 
     def __add__(self, other: Quantity) -> Quantity:
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(self.dimension, other.dimension, "add")
-        return Quantity(self.magnitude + other.to(self.unit).magnitude, self.unit)
+        return self._sum(add, "+", other, "add")
 
     def __sub__(self, other: Quantity) -> Quantity:
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(self.dimension, other.dimension, "subtract")
-        return Quantity(self.magnitude - other.to(self.unit).magnitude, self.unit)
+        return self._sum(sub, "-", other, "subtract")
 
     def _apply(self, op, how: str, other) -> Quantity:
         if isinstance(other, Quantity):

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,16 +276,87 @@ def test_derive_unit_scale_out_of_float_range_exits_2(exponent, capsys):
 
 
 def test_internal_error_is_one_line_and_exit_3(monkeypatch, capsys):
-    import scalelab.cli as cli
+    import scalelab.casebook as casebook
 
-    def broken(args):
-        raise RuntimeError("handler broke")
+    def broken(length):
+        raise RuntimeError("case broke")
 
-    monkeypatch.setattr(cli, "_cmd_hull", broken)
+    monkeypatch.setattr(casebook, "hull_speed", broken)
     assert run_command(["predict", "hull", "--length", "30 ft"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: RuntimeError: handler broke\n"
+    assert captured.err == "internal error: RuntimeError: case broke\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "roast", "--mass", "5 kg", "--ref-mass", "1 kg", "--ref-time", "1 hr"],
+        ["predict", "hull", "--length", "30 ft"],
+        ["predict", "fall", "--ref-speed", "150 mph", "--ref-mass", "70 kg", "--mass", "20 g"],
+    ],
+    ids=["roast", "hull", "fall"],
+)
+def test_case_report_is_looked_up_when_the_command_runs(argv, monkeypatch, capsys):
+    # The parser is built by the first run; a report rebound after that, as
+    # a tracer does, must still be the one that runs.
+    import scalelab.cli as cli
+
+    assert run_command(argv) == 0
+    expected = capsys.readouterr().out
+    name = f"{argv[1]}_report"
+    report, calls = getattr(cli, name), []
+
+    def counting(*quantities):
+        calls.append(quantities)
+        return report(*quantities)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert run_command(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == expected
+
+
+def usage_transcript():
+    """``(argv, exit code, text)`` per entry of ``data/cli_usage.txt``.
+
+    Each entry is a ``$ scalelab ...`` line, a ``? <code>`` line and the
+    exact output: stdout for ``--help`` (exit 0), stderr for a usage error
+    (exit 1), both at 80 columns.  The file covers the top-level parser and
+    every subcommand; edit it by hand when a help text changes on purpose.
+    """
+    text = (DATA_DIR / "cli_usage.txt").read_text(encoding="utf-8")
+    entries = []
+    for chunk in re.split(r"^\$ ", text, flags=re.MULTILINE)[1:]:
+        command, status, body = chunk.split("\n", 2)
+        entries.append(pytest.param(shlex.split(command)[1:], int(status[2:]), body,
+                                    id=command))
+    return entries
+
+
+@pytest.mark.parametrize("argv, code, expected", usage_transcript())
+def test_help_and_usage_errors_are_pinned(argv, code, expected, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_command(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ((expected, "") if code == 0 else ("", expected))
+
+
+def test_run_command_calls_share_one_parser(monkeypatch, capsys):
+    import scalelab.cli as cli
+
+    run_command(["pi", "--quantities", "E:J"])
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert run_command(["pi", "--quantities", "E:J"]) == 0
+    assert run_command(["predict", "hull", "--length", "30 ft"]) == 0
+    assert built == []
 
 
 def test_pi_command(capsys):
@@ -425,6 +498,48 @@ def test_diagnose_unit_change_on_shipped_fixture(capsys):
     assert "g -> kg" in out
 
 
+@pytest.mark.parametrize("quadratic", [[], ["--quadratic"]], ids=["plain", "quadratic"])
+@pytest.mark.parametrize(
+    "x0, new_x0",
+    [("kg^100 g^-99", "g^100 kg^-99"), ("g^100 kg^-99", "kg^100 g^-99")],
+    ids=["down", "up"],
+)
+def test_diagnose_unit_change_beyond_the_float_range_is_finite(x0, new_x0, quadratic, capsys):
+    # The references differ by a factor 1e597, beyond the float range.
+    argv = ["diagnose", "unit-change", "--csv", str(DATA_DIR / "metabolic.csv"), "--x", "mass",
+            "--y", "bmr", "--x0", x0, "--new-x0", new_x0, *quadratic, "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    coefficients = [v for k, v in payload.items() if k.startswith(("transformed[", "refit["))]
+    assert all(math.isfinite(v) for v in coefficients)
+    assert payload["max_abs_difference"] <= 1e-9 * max(abs(v) for v in coefficients)
+
+
+@pytest.mark.parametrize(
+    "text, x0, message",
+    [
+        ("x[m],y[m]\n1e308,5\n2,3\n3,4\n4,7\n", "ft",
+         "column 'x', row 0: 1e+308 m to ft overflows a float"),
+        ("x[g],y[W]\n1e-323,1\n2,3\n3,4\n4,9\n", "kg",
+         "column 'x', row 0: 9.88131e-324 g to kg underflows a float to 0"),
+    ],
+    ids=["overflow", "underflow"],
+)
+@pytest.mark.parametrize("command", ["fit", "plot"])
+def test_column_leaving_the_float_range_exits_2(text, x0, message, command, tmp_path, capsys):
+    path, svg = write(tmp_path, "range.csv", text), tmp_path / "range.svg"
+    argv = [command, "--csv", path, "--x", "x", "--y", "y", "--x0", x0]
+    if command == "plot":
+        argv += ["--out", str(svg)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not svg.exists()
+
+
 def test_diagnose_residuals_known_ratio(tmp_path, capsys):
     # Exact baseline rows plus two symmetric off-line pairs keep the OLS
     # line exactly on the underlying law, so the published off-line rows
@@ -548,6 +663,15 @@ def test_predict_input_underflowing_in_si_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: mass 9.88131e-323 g underflows a float to 0 in SI units\n"
+
+
+def test_predict_input_overflowing_in_si_exits_2(capsys):
+    # 1e308 yr is a finite time, but in seconds it is beyond the float range.
+    argv = ["roast", "--mass", "5 kg", "--ref-mass", "1 kg", "--ref-time", "1e308 yr"]
+    assert run_command(["predict", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reference time 1e+308 yr overflows a float in SI units\n"
 
 
 def test_predict_blast_radius_command(capsys):

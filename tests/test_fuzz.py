@@ -1,20 +1,26 @@
 """Generated command lines and CSV files through the whole CLI.
 
-Every run must end with exit 0, 1 (usage) or 2 (data), never a traceback
-or the internal-error exit 3, and a successful run must print no NaN, no
-infinity and no prediction that rounded to 0.  The settings are fixed and
-derandomized, so the suite runs the same examples every time.
+Every run must end with exit 0, 1 (usage) or 2 (data), never a traceback,
+a float warning or the internal-error exit 3, and a successful run must
+print no NaN, no infinity and no prediction that rounded to 0.  Two
+exactness properties ride along: a unit change reported by ``diagnose
+unit-change`` matches the refit, and canonical CSV text survives a load
+and a dump bit for bit.  The settings are fixed and derandomized, so the
+suite runs the same examples every time.
 """
 
 import contextlib
 import io
+import json
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from scalelab.cli import run_command
+from scalelab.csvio import dump_csv, load_csv
 from scalelab.units import default_registry
 
 FUZZ = settings(
@@ -33,7 +39,10 @@ NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # A float warning becomes an exception, and so the internal-error exit 3.
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
         code = run_command(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -109,6 +118,8 @@ def argv_lists(draw):
 @example(["derive", "--target", "y:m", "--params", "a:yr^100"])
 @example(["predict", "blast", "--energy", "1 J", "--time", "1 s", "--prefactor", "inf"])
 @example(["predict", "blast", "--obs", "1e300 m @ 1 s"])
+@example(["predict", "roast", "--mass", "5 kg", "--ref-mass", "1 kg",
+          "--ref-time", "1e308 yr"])
 def test_generated_command_lines(argv):
     check(argv)
 
@@ -164,13 +175,86 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# Reproducers: a value that overflows in the reference unit, and a pair of
+# references whose ratio leaves the float range.
+BIG_X = "x[m],y[m]\n1e308,5\n2,3\n3,4\n4,7\n"
+MASSES = "x[kg],y[W]\n1,2\n2,3.5\n4,7\n8,11\n"
+UNIT_CHANGE = ["diagnose", "unit-change", "--csv", "CSV", "--x", "x", "--y", "y"]
+
+
 @FUZZ
 @given(csv_texts(), csv_commands())
 @example("x[g],y[W]\n1e-320,1\n2,3\n", ["diagnose", "unit-change", "--csv", "CSV", "--x", "x",
                                       "--y", "y", "--new-x0", "kg"])
 @example("x[m],y[m],c[yr]\n1,2,nan\n2,3,1\n3,5,2\n", ["fit", "--csv", "CSV", "--x", "x",
                                                      "--y", "y", "--covariate", "c"])
+@example(BIG_X, ["fit", "--csv", "CSV", "--x", "x", "--y", "y", "--x0", "ft"])
+@example(BIG_X, ["plot", "--csv", "CSV", "--x", "x", "--y", "y", "--x0", "ft", "--out", "SVG"])
+@example("x[g],y[W]\n1e-323,1\n2,3\n3,4\n", ["fit", "--csv", "CSV", "--x", "x", "--y", "y",
+                                             "--x0", "kg"])
+@example(MASSES, [*UNIT_CHANGE, "--x0", "kg^100 g^-99", "--new-x0", "g^100 kg^-99"])
+@example(MASSES, [*UNIT_CHANGE, "--x0", "g^100 kg^-99", "--new-x0", "kg^100 g^-99"])
+@example(MASSES, [*UNIT_CHANGE, "--quadratic", "--x0", "g^100 kg^-99", "--new-x0",
+                  "kg^100 g^-99"])
 def test_generated_csv_files(workdir, text, argv):
     path, out = workdir / "data.csv", workdir / "plot.svg"
     path.write_text(text, encoding="utf-8")
     check([{"CSV": str(path), "SVG": str(out)}.get(arg, arg) for arg in argv])
+
+
+UNIT_FAMILIES = (("kg", "g"), ("m", "ft"))
+
+
+@st.composite
+def spread_csvs(draw):
+    """A ``x[unit],y[W]`` CSV of 4-12 rows whose x values lie one per binade
+    in 2^-8 .. 2^9, so a quadratic fit stays well conditioned, and the
+    x unit's family."""
+    family = draw(st.sampled_from(UNIT_FAMILIES))
+    binades = draw(st.lists(st.integers(-8, 8), min_size=4, max_size=12, unique=True))
+    mantissa = st.floats(min_value=1.0, max_value=2.0, exclude_max=True)
+    rows = [(2.0 ** k * draw(mantissa), draw(st.floats(min_value=1e-3, max_value=1e3)))
+            for k in binades]
+    lines = [f"x[{draw(st.sampled_from(family))}],y[W]"]
+    lines += [f"{x!r},{y!r}" for x, y in rows]
+    return "\n".join(lines) + "\n", family
+
+
+@FUZZ
+@given(spread_csvs(), st.data())
+def test_unit_change_transform_matches_the_refit(workdir, csv_and_family, data):
+    text, family = csv_and_family
+    path = workdir / "spread.csv"
+    path.write_text(text, encoding="utf-8")
+    x0, new_x0 = (data.draw(st.sampled_from(family)) for _ in range(2))
+    quadratic = data.draw(st.sampled_from(([], ["--quadratic"])))
+    argv = [*UNIT_CHANGE, "--x0", x0, "--new-x0", new_x0, *quadratic, "--json"]
+    code, out, err = run([str(path) if arg == "CSV" else arg for arg in argv])
+    assert code == 0, err
+    assert json.loads(out)["max_abs_difference"] <= 1e-9
+
+
+def canonical_csv_texts():
+    """CSV text as ``dump_csv`` writes it: ``name[unit]`` headers over any
+    finite floats in shortest round-trip form."""
+    unit = st.builds(lambda s, e: s + e, st.sampled_from(SYMBOLS),
+                     st.sampled_from(("", "^2", "^-1", "^1/3")))
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+    @st.composite
+    def texts(draw):
+        units = draw(st.lists(unit, min_size=1, max_size=3))
+        header = ",".join(f"c{i}[{u}]" for i, u in enumerate(units))
+        rows = draw(st.lists(st.lists(cell, min_size=len(units), max_size=len(units)),
+                             min_size=1, max_size=6))
+        return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+    return texts()
+
+
+@FUZZ
+@given(canonical_csv_texts())
+def test_dump_csv_of_load_csv_is_bit_equal(workdir, text):
+    path = workdir / "canonical.csv"
+    path.write_text(text, encoding="utf-8")
+    assert dump_csv(load_csv(str(path))) == text

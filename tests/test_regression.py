@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,47 @@ def test_beta_hat_is_invariant_under_data_rescaling():
             power_law_dataset(cx * x, cy * y), plain_spec()
         )
         assert rescaled.beta == pytest.approx(baseline.beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("include_quadratic", [False, True])
+def test_unit_change_beyond_the_float_range_matches_refit(include_quadratic):
+    # The two references' ratio, 1e-597, is 0 as a float; its log is not.
+    ds, _, _ = quadratic_fit()
+    old, new = REG.resolve("kg^100 g^-99"), REG.resolve("g^100 kg^-99")
+    assert new.scale / old.scale == 0.0
+    spec = ModelSpec("bmr", W, "mass", old, include_quadratic=include_quadratic)
+    transformed = transform_under_unit_change(fit(ds, spec), new)
+    refit = fit(ds, dataclasses.replace(spec, predictor_reference=new))
+    assert np.all(np.isfinite(transformed.coefficient_covariance))
+    scale = np.abs(refit.coefficients).max()
+    assert np.abs(transformed.coefficients - refit.coefficients).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize(
+    "values, unit, reference, message",
+    [
+        ([2.0, 1e308, 3.0, 4.0], M, FT, "column 'x', row 1: 1e+308 m to ft overflows a float"),
+        ([2.0, 1e-323, 3.0, 4.0], G, KG,
+         "column 'x', row 1: 9.88131e-324 g to kg underflows a float to 0"),
+    ],
+    ids=["overflow", "underflow"],
+)
+@pytest.mark.parametrize("role", ["predictor", "covariate"])
+def test_column_leaving_the_float_range_in_its_reference_unit_is_named(
+    values, unit, reference, message, role
+):
+    y = np.array([1.0, 2.0, 3.0, 5.0])
+    if role == "predictor":
+        ds = DataSet({"x": (values, unit), "y": (y, M)})
+        spec = ModelSpec("y", M, "x", reference)
+    else:
+        ds = DataSet({"x": (values, unit), "y": (y, M), "u": ([1.0, 2.0, 4.0, 8.0], M)})
+        spec = ModelSpec("y", M, "u", M, covariates=(("x", reference),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as info:
+            fit(ds, spec)
+    assert str(info.value) == message
 
 
 def test_transform_rejects_incommensurable_unit():

@@ -321,11 +321,17 @@ def test_quantity_pow_overflow_is_a_data_error():
          "1e-300 m / 1e+300 m underflows a float to 0"),
         (lambda: log_ratio(parse_quantity("1e300 m"), parse_quantity("1e-300 m")),
          "1e+300 m / 1e-300 m overflows a float"),
+        (lambda: parse_quantity("1e308 m") + parse_quantity("1e308 m"),
+         "1e+308 m + 1e+308 m overflows a float"),
+        (lambda: parse_quantity("1e308 m") - parse_quantity("-1e308 m"),
+         "1e+308 m - -1e+308 m overflows a float"),
+        (lambda: parse_quantity("1e308 yr").in_si(), "1e+308 yr to s overflows a float"),
     ],
     ids=["zero-to-negative-power", "div-by-zero-scalar", "div-by-zero-quantity",
          "mul-underflow", "mul-overflow", "rmul-underflow", "mul-inf", "mul-nan",
          "pow-overflow", "pow-underflow", "convert-si-underflow", "convert-underflow",
-         "convert-overflow", "log-ratio-underflow", "log-ratio-overflow"],
+         "convert-overflow", "log-ratio-underflow", "log-ratio-overflow", "add-overflow",
+         "sub-overflow", "in-si-overflow"],
 )
 def test_arithmetic_leaving_the_float_range_names_the_operation(compute, message):
     with pytest.raises(DataError) as info:
@@ -341,6 +347,11 @@ def test_arithmetic_on_zero_quantities_is_zero():
     assert (one * 0).magnitude == 0
     assert (zero ** 2).magnitude == 0
     assert convert(zero, REG.symbol("ft")).magnitude == 0
+    # A sum that cancels is an exact 0, not an underflow.
+    tiny = parse_quantity("5e-324 m")
+    assert (tiny - tiny).magnitude == 0
+    assert (one + parse_quantity("-1 m")).magnitude == 0
+    assert (tiny + zero).magnitude == 5e-324
 
 
 def _in_range_model(op, x, y):
