@@ -23,7 +23,6 @@ Everything here is a pure function over immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -38,6 +37,7 @@ from .units import (
     DIMENSIONLESS,
     Dimension,
     Quantity,
+    _Value,
     _as_exponent,
     _dimension,
     _render_monomial,
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalingRelation:
+class ScalingRelation(_Value):
     """A pure monomial law: target ~ product of names raised to exponents.
 
     Dimensionful prefactors are deliberately absent; only the exponents are
@@ -68,22 +67,20 @@ class ScalingRelation:
     ``x ~ x^1``, which exists so that chaining with it is a no-op.
     """
 
-    target: str
-    exponents: dict[str, Fraction]
+    __slots__ = ("target", "exponents")
+    __hash__ = None  # the exponents are a dict
 
-    def __post_init__(self):
-        if not self.target:
+    def __init__(self, target: str, exponents: Mapping[str, int | str | Fraction]):
+        if not target:
             raise RelationError("relation target must be a non-empty name")
         cleaned: dict[str, Fraction] = {}
-        for name, exp in self.exponents.items():
+        for name, exp in exponents.items():
             frac = _as_exponent(exp)
             if frac != 0:
                 cleaned[name] = frac
-        if self.target in cleaned and cleaned != {self.target: Fraction(1)}:
-            raise RelationError(
-                f"target {self.target!r} may not appear among the terms"
-            )
-        object.__setattr__(self, "exponents", cleaned)
+        if target in cleaned and cleaned != {target: Fraction(1)}:
+            raise RelationError(f"target {target!r} may not appear among the terms")
+        self.__setstate__((target, cleaned))
 
     @classmethod
     def identity(cls, name: str) -> ScalingRelation:
@@ -122,8 +119,7 @@ class ScalingRelation:
         return self.render()
 
 
-@dataclass(frozen=True)
-class PiGroup:
+class PiGroup(_Value):
     """A dimensionless product of powers, in normalized integer form.
 
     Normalization: the exponent vector is scaled to the smallest integers
@@ -132,19 +128,17 @@ class PiGroup:
     two for deterministic rendering and exact test equality.
     """
 
-    names: tuple[str, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ("names", "exponents")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.exponents):
+    def __init__(self, names: tuple[str, ...], exponents: tuple[int, ...]):
+        if len(names) != len(exponents):
             raise RelationError("names and exponents must align")
-        nonzero = [e for e in self.exponents if e != 0]
+        nonzero = [e for e in exponents if e != 0]
         if not nonzero:
             raise RelationError("a dimensionless group must have a nonzero exponent")
         if math.gcd(*(abs(e) for e in nonzero)) != 1 or nonzero[0] <= 0:
-            raise RelationError(
-                f"exponents {self.exponents} are not in normalized form"
-            )
+            raise RelationError(f"exponents {exponents} are not in normalized form")
+        self.__setstate__((names, exponents))
 
     def render(self) -> str:
         return "pi: " + _render_monomial(self.names, self.exponents)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,6 +33,7 @@ from .units import (
     VELOCITY,
     Dimension,
     Quantity,
+    _Value,
     coherent_unit,
     convert,
     default_registry,
@@ -61,23 +61,21 @@ STANDARD_GRAVITY = parse_quantity("9.80665 m s^-2")
 _ONE = Quantity(1.0, coherent_unit(DIMENSIONLESS))
 
 
-@dataclass(frozen=True)
-class BlastConfig:
+class BlastConfig(_Value):
     """Blast-wave constants: the dimensionless prefactor and the air density."""
 
-    prefactor: float = 1.0
-    rho: Quantity = parse_quantity("1.2 kg m^-3")
+    __slots__ = ("prefactor", "rho")
 
-    def __post_init__(self):
-        if not math.isfinite(self.prefactor):
-            raise DataError(f"blast prefactor must be finite, got {self.prefactor}")
-        if not self.prefactor > 0:
-            raise DataError(f"blast prefactor must be positive, got {self.prefactor}")
-        _check_inputs((self.rho, DENSITY, "blast density"))
+    def __init__(self, prefactor: float = 1.0, rho: Quantity = parse_quantity("1.2 kg m^-3")):
+        if not math.isfinite(prefactor):
+            raise DataError(f"blast prefactor must be finite, got {prefactor}")
+        if not prefactor > 0:
+            raise DataError(f"blast prefactor must be positive, got {prefactor}")
+        _check_inputs((rho, DENSITY, "blast density"))
+        self.__setstate__((prefactor, rho))
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(_Value):
     """One case's inputs, derived relation, and checked prediction.
 
     Construction fails unless the prediction's dimension equals the case's
@@ -85,22 +83,19 @@ class CaseReport:
     prediction.
     """
 
-    title: str
-    inputs: tuple[tuple[str, Quantity], ...]
-    relation: ScalingRelation
-    prefactor_label: str
-    prediction: Quantity
-    output_dimension: Dimension
-    display: Quantity | None = None
-    notes: str = ""
+    __slots__ = ("title", "inputs", "relation", "prefactor_label", "prediction",
+                 "output_dimension", "display", "notes")
 
-    def __post_init__(self):
-        if self.prediction.dimension != self.output_dimension:
+    def __init__(self, title: str, inputs: tuple[tuple[str, Quantity], ...],
+                 relation: ScalingRelation, prefactor_label: str, prediction: Quantity,
+                 output_dimension: Dimension, display: Quantity | None = None,
+                 notes: str = ""):
+        if prediction.dimension != output_dimension:
             raise DimensionMismatchError(
-                self.prediction.dimension,
-                self.output_dimension,
-                f"{self.title} prediction",
+                prediction.dimension, output_dimension, f"{title} prediction"
             )
+        self.__setstate__((title, inputs, relation, prefactor_label, prediction,
+                           output_dimension, display, notes))
 
     def render(self) -> str:
         lines = [self.title]

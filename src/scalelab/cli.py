@@ -19,7 +19,6 @@ dimensions, so magnitudes may be omitted.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -240,6 +239,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_unit_change(args) -> int:
+    import dataclasses
+
     from .regression import fit, transform_under_unit_change
 
     ds, spec = _load_with_spec(args)

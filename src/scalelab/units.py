@@ -16,13 +16,23 @@ through one guard, which raises :class:`~scalelab.errors.DataError` naming
 the operation and both operands when a product, quotient or power of
 nonzero operands gives 0 ("underflows a float to 0"), when the result is
 infinite or NaN ("overflows a float"), or when the operation divides by
-zero ("divides by zero").  An in-range result is the plain float
-expression, bit for bit, so no result silently becomes 0 or inf and no
-float exception escapes as a traceback.
+zero ("divides by zero").  ``*``, ``/`` and ``**`` first take each
+quantity operand to SI units through the same guard, as :func:`convert`
+does, so an operand that leaves the range there is the one named.  An
+in-range result is the plain float expression, bit for bit, so no result
+silently becomes 0 or inf and no float exception escapes as a traceback.
 
 All types here are immutable values and every operation is pure, so the
 module is safe for unrestricted concurrent use.  A registry is built once
 and then treated as read-only.
+
+The value classes here and in :mod:`~scalelab.algebra` and
+:mod:`~scalelab.casebook` share one private ``__slots__`` base: equality
+of the fields within one class, hashing, a ``Class(field=value, ...)``
+repr, copy and pickle, and an ``AttributeError`` on setting or deleting an
+attribute.  Each class's ``__init__`` checks its arguments and sets its
+fields.  The base stands in for ``dataclasses``, whose import (with
+``inspect``) would otherwise be part of every start-up.
 
 Unit-expression grammar (used by :func:`parse_quantity` and
 :meth:`UnitRegistry.resolve`)::
@@ -40,9 +50,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub, truediv
+from operator import add, attrgetter, mul, sub, truediv
 
 from .errors import (
     CapacityError,
@@ -138,12 +147,51 @@ def _render_monomial(names, exponents, denominator: int = 1) -> str:
     return " ".join(parts) or "1"
 
 
+_set = object.__setattr__  # sets one field of a new _Value
+
+
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, in order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__dict__.get("__slots__"):  # a class that declares fields
+            cls.__match_args__ = cls.__slots__
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __getstate__(self):
+        return self._values(self)
+
+    def __setstate__(self, values) -> None:  # also how a constructor sets its fields
+        if isinstance(values, dict):  # pickled when the class was a dataclass
+            values = [values[name] for name in self.__match_args__]
+        for name, value in zip(self.__match_args__, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be set or deleted")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
 def _component(index: int) -> property:
     return property(lambda self: Fraction(self.numerators[index], self.denominator))
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Dimension:
+class Dimension(_Value):
     """A vector of exact rational exponents over the base dimensions.
 
     The five exponents are stored as one tuple of integer ``numerators``
@@ -159,9 +207,6 @@ class Dimension:
 
     __slots__ = ("numerators", "denominator")
 
-    numerators: tuple[int, ...]
-    denominator: int
-
     _FIELDS = ("mass", "length", "time", "temperature", "currency")
     _LETTERS = ("M", "L", "T", "Theta", "Cur")
 
@@ -176,11 +221,17 @@ class Dimension:
         # factor with it, so the result is already in reduced form.
         pairs = [_ratio(e) for e in (mass, length, time, temperature, currency)]
         denominator = math.lcm(*(q for _, q in pairs))
-        object.__setattr__(self, "numerators", tuple(p * (denominator // q) for p, q in pairs))
-        object.__setattr__(self, "denominator", denominator)
+        self.__setstate__((tuple(p * (denominator // q) for p, q in pairs), denominator))
 
-    def __reduce__(self):
-        return Dimension, self.as_tuple()
+    # Written out, not the base's tuple of fields: unit arithmetic and
+    # derivations compare dimensions in their inner loops.
+    def __eq__(self, other):
+        if other.__class__ is not Dimension:
+            return NotImplemented
+        return self.numerators == other.numerators and self.denominator == other.denominator
+
+    def __hash__(self):
+        return hash((self.numerators, self.denominator))
 
     def as_tuple(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.denominator) for n in self.numerators)
@@ -231,8 +282,8 @@ def _dimension(numerators: tuple[int, ...], denominator: int) -> Dimension:
             g = math.gcd(n, denominator)
             _bounded(n // g, denominator // g)
     dim = object.__new__(Dimension)
-    object.__setattr__(dim, "numerators", numerators)
-    object.__setattr__(dim, "denominator", denominator)
+    _set(dim, "numerators", numerators)
+    _set(dim, "denominator", denominator)
     return dim
 
 
@@ -255,23 +306,23 @@ POWER = Dimension(mass=Fraction(1), length=Fraction(2), time=Fraction(-3))
 _SI_BASE_SYMBOLS = ("kg", "m", "s", "K", "GBP")
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(_Value):
     """A named unit: a symbol, a dimension, and a positive scale factor.
 
     ``scale`` converts a magnitude in this unit to the coherent base unit of
     its dimension (kg, m, s, K, GBP and their products).
     """
 
-    symbol: str
-    dimension: Dimension
-    scale: float
+    __slots__ = ("symbol", "dimension", "scale")
 
-    def __post_init__(self):
-        if not self.symbol:
+    def __init__(self, symbol: str, dimension: Dimension, scale: float):
+        if not symbol:
             raise QuantityParseError("unit symbol must be non-empty")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise DataError(f"unit {self.symbol!r} must have a positive finite scale")
+        if not (scale > 0 and math.isfinite(scale)):
+            raise DataError(f"unit {symbol!r} must have a positive finite scale")
+        _set(self, "symbol", symbol)
+        _set(self, "dimension", dimension)
+        _set(self, "scale", scale)
 
     def __str__(self) -> str:
         return self.symbol
@@ -305,8 +356,7 @@ def _in_range(op, a: float, b: float, left, how: str, right) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(_Value):
     """A real magnitude bound to a unit.
 
     Two quantities are commensurable iff their dimensions are equal; only
@@ -315,13 +365,14 @@ class Quantity:
     :func:`log_ratio` on a pair of commensurable quantities instead.
     """
 
-    magnitude: float
-    unit: Unit
+    __slots__ = ("magnitude", "unit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "magnitude", float(self.magnitude))
-        if not math.isfinite(self.magnitude):
-            raise DataError(f"quantity magnitude must be finite, got {self.magnitude!r}")
+    def __init__(self, magnitude: float, unit: Unit):
+        magnitude = float(magnitude)
+        if not math.isfinite(magnitude):
+            raise DataError(f"quantity magnitude must be finite, got {magnitude!r}")
+        _set(self, "magnitude", magnitude)
+        _set(self, "unit", unit)
 
     @property
     def dimension(self) -> Dimension:
@@ -331,6 +382,14 @@ class Quantity:
     def si_value(self) -> float:
         """Magnitude expressed in the coherent base unit."""
         return self.magnitude * self.unit.scale
+
+    def _checked_si(self) -> float:
+        """``si_value``, or the DataError of :meth:`in_si` naming this
+        quantity if the SI value leaves the float range."""
+        si = self.magnitude * self.unit.scale
+        if not math.isfinite(si) or si == 0 and self.magnitude:
+            self.in_si()  # raises
+        return si
 
     def to(self, target: Unit) -> Quantity:
         return convert(self, target)
@@ -353,7 +412,8 @@ class Quantity:
     def _apply(self, op, how: str, other) -> Quantity:
         if isinstance(other, Quantity):
             dim = op(self.dimension, other.dimension)
-            magnitude = _in_range(op, self.si_value, other.si_value, self, how, other)
+            si, theirs = self._checked_si(), other._checked_si()
+            magnitude = _in_range(op, si, theirs, self, how, other)
             return Quantity(magnitude, coherent_unit(dim))
         magnitude = _in_range(op, self.magnitude, float(other), self, how, other)
         return Quantity(magnitude, self.unit)
@@ -373,7 +433,7 @@ class Quantity:
                 f"cannot raise negative quantity {self} to fractional power {k}"
             )
         dim = self.dimension ** k
-        magnitude = _in_range(pow, self.si_value, float(k), self, "to the power", k)
+        magnitude = _in_range(pow, self._checked_si(), float(k), self, "to the power", k)
         return Quantity(magnitude, coherent_unit(dim))
 
     def __str__(self) -> str:

@@ -1,8 +1,9 @@
-"""Commands that need no fitting must start without importing numpy.
+"""Commands that need no fitting must start without importing numpy or
+``dataclasses`` (which imports ``inspect``).
 
 numpy is already loaded in the test process, so each command runs in a
-fresh interpreter that reports its exit code and whether numpy was
-imported.
+fresh interpreter that reports its exit code and whether numpy and
+``dataclasses`` were imported.
 """
 
 import json
@@ -22,7 +23,7 @@ DATA_DIR = Path(__file__).parent / "data"
 RUN_COMMAND = """
 from scalelab.cli import run_command
 code = run_command(json.loads(sys.argv[1]))
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
@@ -55,24 +56,25 @@ def run_fresh(script, *args):
     ids=["derive", "pi", "blast", "blast-obs", "roast", "hull", "fall", "error"],
 )
 def test_command_runs_without_numpy(argv, expected_code):
-    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (expected_code, False)
+    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (expected_code, False, False)
 
 
 def test_fit_command_imports_numpy():
-    # The control case: the probe does see numpy when a command loads it.
+    # The control case: the probe does see numpy and dataclasses when a
+    # command loads them.
     argv = ["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length",
             "--y", "price"]
-    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True)
+    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True, True)
 
 
 def test_import_scalelab_defers_numpy_until_a_lazy_name_is_used():
     script = """
 import scalelab
-before = "numpy" in sys.modules
+before = ["numpy" in sys.modules, "dataclasses" in sys.modules]
 scalelab.csvio.load_csv
-print(json.dumps([before, "numpy" in sys.modules]))
+print(json.dumps([*before, "numpy" in sys.modules]))
 """
-    assert run_fresh(script) == (False, True)
+    assert run_fresh(script) == (False, False, True)
 
 
 def test_import_scalelab_derives_no_case_relation():

@@ -326,12 +326,24 @@ def test_quantity_pow_overflow_is_a_data_error():
         (lambda: parse_quantity("1e308 m") - parse_quantity("-1e308 m"),
          "1e+308 m - -1e+308 m overflows a float"),
         (lambda: parse_quantity("1e308 yr").in_si(), "1e+308 yr to s overflows a float"),
+        # An operand whose SI value leaves the float range is named as such.
+        (lambda: parse_quantity("1 m") / parse_quantity("1e308 yr"),
+         "1e+308 yr to s overflows a float"),
+        (lambda: parse_quantity("1e308 yr") ** -1, "1e+308 yr to s overflows a float"),
+        (lambda: parse_quantity("1e308 yr") * parse_quantity("1 m"),
+         "1e+308 yr to s overflows a float"),
+        (lambda: parse_quantity("2 m") * parse_quantity("1e-322 g"),
+         "9.88131e-323 g to kg underflows a float to 0"),
+        (lambda: parse_quantity("1e-322 g") ** Fraction(1, 2),
+         "9.88131e-323 g to kg underflows a float to 0"),
     ],
     ids=["zero-to-negative-power", "div-by-zero-scalar", "div-by-zero-quantity",
          "mul-underflow", "mul-overflow", "rmul-underflow", "mul-inf", "mul-nan",
          "pow-overflow", "pow-underflow", "convert-si-underflow", "convert-underflow",
          "convert-overflow", "log-ratio-underflow", "log-ratio-overflow", "add-overflow",
-         "sub-overflow", "in-si-overflow"],
+         "sub-overflow", "in-si-overflow", "div-operand-si-overflow",
+         "pow-operand-si-overflow", "mul-operand-si-overflow", "mul-operand-si-underflow",
+         "pow-operand-si-underflow"],
 )
 def test_arithmetic_leaving_the_float_range_names_the_operation(compute, message):
     with pytest.raises(DataError) as info:
@@ -373,18 +385,23 @@ scales = st.floats(min_value=1e-300, max_value=1e300)
 @settings(max_examples=300, deadline=None)
 def test_arithmetic_is_the_plain_float_expression_or_a_data_error(a, b, s1, s2):
     # In range, every result is bit-identical to the unguarded expression
-    # evaluated in the same order; out of range it is a DataError.
+    # evaluated in the same order; out of range it is a DataError.  An
+    # operand whose SI value leaves the range is out of range itself, even
+    # where the unguarded expression would hide it (0 * 0, 0 ** 3).
     q1, q2 = Quantity(a, Unit("u1", LENGTH, s1)), Quantity(b, Unit("u2", TIME, s2))
     ft = REG.symbol("ft")
-    si = _in_range_model(operator.mul, a, s1)
+    si1, si2 = _in_range_model(operator.mul, a, s1), _in_range_model(operator.mul, b, s2)
+
+    def model(op, x, y):
+        return None if x is None or y is None else _in_range_model(op, x, y)
+
     cases = [
-        (lambda: q1 * q2, _in_range_model(operator.mul, q1.si_value, q2.si_value)),
-        (lambda: q1 / q2, _in_range_model(operator.truediv, q1.si_value, q2.si_value)),
+        (lambda: q1 * q2, model(operator.mul, si1, si2)),
+        (lambda: q1 / q2, model(operator.truediv, si1, si2)),
         (lambda: q1 * b, _in_range_model(operator.mul, a, b)),
         (lambda: q1 / b, _in_range_model(operator.truediv, a, b)),
-        (lambda: q1 ** 3, _in_range_model(operator.pow, q1.si_value, 3.0)),
-        (lambda: convert(q1, ft),
-         None if si is None else _in_range_model(operator.truediv, si, ft.scale)),
+        (lambda: q1 ** 3, model(operator.pow, si1, 3.0)),
+        (lambda: convert(q1, ft), model(operator.truediv, si1, ft.scale)),
     ]
     for guarded, expected in cases:
         if expected is None:
