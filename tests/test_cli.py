@@ -321,9 +321,12 @@ def usage_transcript():
     """``(argv, exit code, text)`` per entry of ``data/cli_usage.txt``.
 
     Each entry is a ``$ scalelab ...`` line, a ``? <code>`` line and the
-    exact output: stdout for ``--help`` (exit 0), stderr for a usage error
-    (exit 1), both at 80 columns.  The file covers the top-level parser and
-    every subcommand; edit it by hand when a help text changes on purpose.
+    exact output at 80 columns: stdout when the exit code is 0, stderr
+    otherwise, and the other stream must be empty.  The file covers
+    ``--help`` and a usage error (exit 1) for the top-level parser and every
+    subcommand, and, for each worked case, a text run, a ``--json`` run and
+    inputs of the wrong dimension or sign (exit 2).  Edit it by hand when an
+    output changes on purpose.
     """
     text = (DATA_DIR / "cli_usage.txt").read_text(encoding="utf-8")
     entries = []
