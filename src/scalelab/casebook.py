@@ -8,6 +8,18 @@ out by hand: each derives its relation through the dimension solver, once
 per process and on first use, and evaluates that relation on its checked
 inputs, so a prediction always uses the exponents the dimensions force.
 
+The cases that take only quantities (roast, hull, fall) are rows of one
+table, :data:`CASES`, keyed by their ``predict`` subcommand.  A row holds
+the help text, report title, output dimension, relation builder, inputs
+in call order as ``(flag, symbol, dimension, label)``, prefactor label and
+display unit symbol (``None`` for the reference's unit); the input checks,
+the reports and the CLI parsers all read it.  Two evaluators serve the
+rows.  Roasting time and terminal velocity scale a reference by the mass
+ratio, so they share one: every term bound to 1 except ``m``, bound to
+``m/m_ref``, the reference as the prefactor, and the answer in the
+reference's unit.  Hull speed evaluates its own relation with standard
+gravity and the prefactor ``1/sqrt(2 pi)``.
+
 Dimensionless prefactors are case-level constants, reported with each
 prediction and never stored in relations.  The blast constant defaults to
 1 and is configurable; gravity is standard gravity.
@@ -190,38 +202,10 @@ def _roast_relation() -> ScalingRelation:
     return chain(time_vs_size, solve_balance({"m": 1}, {"l": 3}, "l"))
 
 
-def roast_time(m: Quantity, m_ref: Quantity, t_ref: Quantity) -> Quantity:
-    """Cooking time scaled from a reference bird: t = t_ref (m/m_ref)^(2/3).
-
-    Both birds share the diffusivity kappa, so it enters as 1 and the mass
-    as its ratio to the reference; the answer is in the reference's unit.
-    """
-    _check_inputs(
-        (m, MASS, "mass"),
-        (m_ref, MASS, "reference mass"),
-        (t_ref, TIME, "reference time"),
-    )
-    t = _roast_relation().evaluate({"kappa": _ONE, "m": m / m_ref}, t_ref)
-    return convert(t, t_ref.unit)
-
-
 @functools.cache
 def _hull_relation() -> ScalingRelation:
     return solve_target_exponents(
         VELOCITY, [("g", ACCELERATION), ("l", LENGTH)], target_name="v"
-    )
-
-
-def hull_speed(length: Quantity) -> Quantity:
-    """Displacement-hull limit v = sqrt(g l / 2 pi) at waterline length l.
-
-    The bow wave a hull cannot overtake has wavelength proportional to the
-    waterline, and a deep-water wave of wavelength l travels at
-    sqrt(g l / 2 pi); the 1/(2 pi) is the case's dimensionless prefactor.
-    """
-    _check_inputs((length, LENGTH, "waterline length"))
-    return _hull_relation().evaluate(
-        {"g": STANDARD_GRAVITY, "l": length}, 1.0 / math.sqrt(2.0 * math.pi)
     )
 
 
@@ -231,22 +215,82 @@ def _fall_relation() -> ScalingRelation:
     return chain(speed_vs_size, solve_balance({"m": 1}, {"l": 3}, "l"))
 
 
-def terminal_velocity_scale(
-    v_ref: Quantity, m_ref: Quantity, m: Quantity
-) -> Quantity:
+class Case(_Value):
+    """A row of :data:`CASES`, with the fields the module docstring lists."""
+
+    __slots__ = ("help", "title", "output", "relation", "inputs", "prefactor", "display")
+
+    def __init__(self, *fields):
+        self.__setstate__(fields)
+
+
+CASES = {
+    "roast": Case("roasting time from a reference", "roasting time", TIME, _roast_relation,
+                  (("--mass", "m", MASS, "mass"),
+                   ("--ref-mass", "m_ref", MASS, "reference mass"),
+                   ("--ref-time", "t_ref", TIME, "reference time")),
+                  "C' absorbed into the reference time", None),
+    "hull": Case("displacement-hull speed limit", "hull speed", VELOCITY, _hull_relation,
+                 (("--length", "l", LENGTH, "waterline length"),),
+                 "1/sqrt(2 pi)", "knot"),
+    "fall": Case("terminal velocity across masses", "terminal velocity", VELOCITY,
+                 _fall_relation,
+                 (("--ref-speed", "v_ref", VELOCITY, "reference speed"),
+                  ("--ref-mass", "m_ref", MASS, "reference mass"),
+                  ("--mass", "m", MASS, "mass")),
+                 "absorbed into the reference speed", None),
+}
+
+
+def _checked(case: str, quantities: Sequence[Quantity]) -> dict[str, Quantity]:
+    """The case's inputs by symbol, once each passes its row's check."""
+    inputs = CASES[case].inputs
+    _check_inputs(*((q, dim, label) for q, (_, _, dim, label) in zip(quantities, inputs)))
+    return {symbol: q for q, (_, symbol, _, _) in zip(quantities, inputs)}
+
+
+def _scaled_from_reference(case: str, *quantities: Quantity) -> Quantity:
+    """The relation ``x ~ ...`` of a case scaled from a reference ``x_ref``: every
+    term bound to 1 except the mass ``m``, bound to ``m/m_ref``, with ``x_ref``
+    as the prefactor and the answer converted to its unit."""
+    given = _checked(case, quantities)
+    relation = CASES[case].relation()
+    bindings = dict.fromkeys(relation.exponents, _ONE)
+    bindings["m"] = given["m"] / given["m_ref"]
+    reference = given[f"{relation.target}_ref"]
+    return convert(relation.evaluate(bindings, reference), reference.unit)
+
+
+def roast_time(m: Quantity, m_ref: Quantity, t_ref: Quantity) -> Quantity:
+    """Cooking time scaled from a reference bird: t = t_ref (m/m_ref)^(2/3).
+
+    Both birds share the diffusivity kappa, so it enters as 1 and the mass
+    as its ratio to the reference; the answer is in the reference's unit.
+    """
+    return _scaled_from_reference("roast", m, m_ref, t_ref)
+
+
+def hull_speed(length: Quantity) -> Quantity:
+    """Displacement-hull limit v = sqrt(g l / 2 pi) at waterline length l.
+
+    The bow wave a hull cannot overtake has wavelength proportional to the
+    waterline, and a deep-water wave of wavelength l travels at
+    sqrt(g l / 2 pi); the 1/(2 pi) is the case's dimensionless prefactor.
+    """
+    _checked("hull", (length,))
+    return _hull_relation().evaluate(
+        {"g": STANDARD_GRAVITY, "l": length}, 1.0 / math.sqrt(2.0 * math.pi)
+    )
+
+
+def terminal_velocity_scale(v_ref: Quantity, m_ref: Quantity, m: Quantity) -> Quantity:
     """Terminal velocity scaled across body mass: v = v_ref (m/m_ref)^(1/6).
 
     Drag grows with cross-section (l^2) and speed squared while weight grows
     with volume (l^3); balancing them gives v ~ l^(1/2) ~ m^(1/6) for
     geometrically similar bodies.  The answer is in the reference's unit.
     """
-    _check_inputs(
-        (v_ref, VELOCITY, "reference speed"),
-        (m_ref, MASS, "reference mass"),
-        (m, MASS, "mass"),
-    )
-    v = _fall_relation().evaluate({"m": m / m_ref}, v_ref)
-    return convert(v, v_ref.unit)
+    return _scaled_from_reference("fall", v_ref, m_ref, m)
 
 
 def kleiber_chain_demo() -> tuple[ScalingRelation, ScalingRelation]:
@@ -279,13 +323,11 @@ def yield_report(
     cfg: BlastConfig, observations: Sequence[tuple[Quantity, Quantity]]
 ) -> CaseReport:
     energy = blast_yield(cfg, observations)
-    inputs = []
-    for index, (radius, t) in enumerate(observations):
-        inputs.append((f"r[{index}]", radius))
-        inputs.append((f"t[{index}]", t))
+    inputs = tuple((f"{name}[{index}]", quantity) for index, pair in enumerate(observations)
+                   for name, quantity in zip("rt", pair))
     return CaseReport(
         title="blast-wave yield",
-        inputs=tuple(inputs) + (("rho", cfg.rho),),
+        inputs=inputs + (("rho", cfg.rho),),
         relation=_blast_relation(),
         prefactor_label=f"C = {cfg.prefactor:g}",
         prediction=energy,
@@ -294,40 +336,25 @@ def yield_report(
     )
 
 
+def _case_report(case: str, prediction: Quantity, quantities: Sequence[Quantity],
+                 *constants: tuple[str, Quantity]) -> CaseReport:
+    """A case's report, read from its :data:`CASES` row; ``constants`` are
+    fixed inputs shown after the row's."""
+    row = CASES[case]
+    unit = row.display and default_registry().symbol(row.display)
+    display = convert(prediction, unit) if unit else prediction
+    inputs = tuple(zip((symbol for _, symbol, _, _ in row.inputs), quantities))
+    return CaseReport(row.title, inputs + constants, row.relation(), row.prefactor,
+                      prediction, row.output, display)
+
+
 def roast_report(m: Quantity, m_ref: Quantity, t_ref: Quantity) -> CaseReport:
-    t = roast_time(m, m_ref, t_ref)
-    return CaseReport(
-        title="roasting time",
-        inputs=(("m", m), ("m_ref", m_ref), ("t_ref", t_ref)),
-        relation=_roast_relation(),
-        prefactor_label="C' absorbed into the reference time",
-        prediction=t,
-        output_dimension=TIME,
-        display=t,
-    )
+    return _case_report("roast", roast_time(m, m_ref, t_ref), (m, m_ref, t_ref))
 
 
 def hull_report(length: Quantity) -> CaseReport:
-    speed = hull_speed(length)
-    return CaseReport(
-        title="hull speed",
-        inputs=(("l", length), ("g", STANDARD_GRAVITY)),
-        relation=_hull_relation(),
-        prefactor_label="1/sqrt(2 pi)",
-        prediction=speed,
-        output_dimension=VELOCITY,
-        display=convert(speed, default_registry().symbol("knot")),
-    )
+    return _case_report("hull", hull_speed(length), (length,), ("g", STANDARD_GRAVITY))
 
 
 def fall_report(v_ref: Quantity, m_ref: Quantity, m: Quantity) -> CaseReport:
-    speed = terminal_velocity_scale(v_ref, m_ref, m)
-    return CaseReport(
-        title="terminal velocity",
-        inputs=(("v_ref", v_ref), ("m_ref", m_ref), ("m", m)),
-        relation=_fall_relation(),
-        prefactor_label="absorbed into the reference speed",
-        prediction=speed,
-        output_dimension=VELOCITY,
-        display=speed,
-    )
+    return _case_report("fall", terminal_velocity_scale(v_ref, m_ref, m), (v_ref, m_ref, m))

@@ -5,9 +5,8 @@ Subcommands: ``derive``, ``pi``, ``fit``, ``diagnose unit-change``,
 Exit codes: 0 on success, 1 on usage errors, 2 on data or dimension
 errors, 3 on an internal error (a bug, reported in one line).  Reports
 print numbers to 6 significant digits; pass ``--json`` for a flat
-full-precision dump.  A worked case that takes only quantities is one row
-of the case table below: its subcommand, help text and quantity flags in
-the order its casebook ``<case>_report`` function takes them.
+full-precision dump.  The ``predict`` subcommands of the worked cases that
+take only quantities are built from the rows of ``casebook.CASES``.
 
 Quantities on the command line follow the same grammar as everywhere
 else: ``"<number> <unit-expression>"``, e.g. ``--mass "5 kg"``.  Dimension
@@ -23,15 +22,8 @@ import functools
 import json
 import sys
 
+from . import casebook
 from .algebra import pi_basis, solve_target_exponents
-from .casebook import (
-    BlastConfig,
-    blast_report,
-    fall_report,
-    hull_report,
-    roast_report,
-    yield_report,
-)
 from .errors import QuantityParseError, ScaleLabError, UnderdeterminedError
 from .units import Quantity, default_registry, parse_quantity
 
@@ -80,14 +72,6 @@ def _parse_quantity_list(text: str):
     if not items:
         raise QuantityParseError("expected a comma-separated list of quantities")
     return [_parse_named_dimension(item) for item in items]
-
-
-# subcommand, help, quantity flags in the order ``<subcommand>_report`` takes them
-_CASES = (
-    ("roast", "roasting time from a reference", ("--mass", "--ref-mass", "--ref-time")),
-    ("hull", "displacement-hull speed limit", ("--length",)),
-    ("fall", "terminal velocity across masses", ("--ref-speed", "--ref-mass", "--mass")),
-)
 
 
 # Built once per process: parsing leaves a parser unchanged, so runs share it.
@@ -147,14 +131,14 @@ def _build_parser() -> _Parser:
     blast.add_argument("--prefactor", type=float, default=1.0, metavar="C")
     blast.set_defaults(handler=_cmd_blast)
 
-    cases = []
-    for case, help_text, flags in _CASES:
-        sub = predict_sub.add_parser(case, help=help_text)
-        dests = [sub.add_argument(flag, required=True, metavar="QTY").dest for flag in flags]
+    for case, row in casebook.CASES.items():
+        sub = predict_sub.add_parser(case, help=row.help)
+        dests = [sub.add_argument(flag, required=True, metavar="QTY").dest
+                 for flag, *_ in row.inputs]
         sub.set_defaults(handler=_cmd_case, quantities=dests)
-        cases.append(sub)
+        sub.add_argument("--json", action="store_true")
 
-    for sub in (fit, unit_change, residuals, blast, *cases):
+    for sub in (fit, unit_change, residuals, blast):
         sub.add_argument("--json", action="store_true")
 
     plot = commands.add_parser("plot", help="log-log scatter plot as SVG")
@@ -302,28 +286,25 @@ def _cmd_residuals(args) -> int:
 
 
 def _report_out(report, as_json: bool) -> int:
-    if as_json:
-        payload = {"case": report.title}
-        for name, quantity in report.inputs:
-            payload[f"input[{name}]"] = str(quantity)
-        payload["relation"] = report.relation.render()
-        payload["prefactor"] = report.prefactor_label
-        si = report.prediction.in_si()
-        payload["prediction"] = si.magnitude
-        payload["prediction_unit"] = si.unit.symbol
-        if report.display is not None:
-            payload["display"] = report.display.magnitude
-            payload["display_unit"] = report.display.unit.symbol
-        print(json.dumps(payload))
-    else:
+    if not as_json:
         print(report.render())
+        return 0
+    si = report.prediction.in_si()
+    payload = {"case": report.title,
+               **{f"input[{name}]": str(quantity) for name, quantity in report.inputs},
+               "relation": report.relation.render(), "prefactor": report.prefactor_label,
+               "prediction": si.magnitude, "prediction_unit": si.unit.symbol}
+    if report.display is not None:
+        payload.update(display=report.display.magnitude,
+                       display_unit=report.display.unit.symbol)
+    print(json.dumps(payload))
     return 0
 
 
 def _cmd_blast(args) -> int:
-    cfg = BlastConfig(prefactor=args.prefactor, rho=parse_quantity(args.rho))
+    cfg = casebook.BlastConfig(prefactor=args.prefactor, rho=parse_quantity(args.rho))
     if args.obs:
-        if args.energy or args.time:
+        if args.energy is not None or args.time is not None:
             raise _UsageError("--obs excludes --energy/--time", "")
         observations = []
         for item in args.obs:
@@ -333,17 +314,17 @@ def _cmd_blast(args) -> int:
                     f"expected 'RADIUS @ TIME', got {item!r}"
                 )
             observations.append((parse_quantity(left), parse_quantity(right)))
-        return _report_out(yield_report(cfg, observations), args.json)
-    if not (args.energy and args.time):
+        return _report_out(casebook.yield_report(cfg, observations), args.json)
+    if args.energy is None or args.time is None:
         raise _UsageError("blast needs --energy and --time, or --obs", "")
-    report = blast_report(cfg, parse_quantity(args.energy), parse_quantity(args.time))
-    return _report_out(report, args.json)
+    energy, t = parse_quantity(args.energy), parse_quantity(args.time)
+    return _report_out(casebook.blast_report(cfg, energy, t), args.json)
 
 
 def _cmd_case(args) -> int:
-    # Looked up when the command runs, so a rebound module attribute is the
+    # Looked up when the command runs, so a rebound casebook attribute is the
     # report that runs.
-    report = globals()[f"{args.case}_report"]
+    report = getattr(casebook, f"{args.case}_report")
     quantities = [parse_quantity(getattr(args, dest)) for dest in args.quantities]
     return _report_out(report(*quantities), args.json)
 

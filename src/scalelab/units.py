@@ -526,7 +526,9 @@ def parse_quantity(text: str, registry: UnitRegistry | None = None) -> Quantity:
     """Parse ``"<number> <unit-expression>"`` into a Quantity.
 
     ``"9.80665 m s^-2"`` resolves to an acceleration; ``"6 knot"`` binds to
-    the registered knot unit and converts on demand.
+    the registered knot unit and converts on demand.  A number that leaves
+    the float range (``"1e400"``, or ``"1e-400"`` rounding to 0) raises a
+    DataError naming it.
     """
     registry = registry or default_registry()
     stripped = text.strip()
@@ -538,7 +540,13 @@ def parse_quantity(text: str, registry: UnitRegistry | None = None) -> Quantity:
     if not _NUMBER_RE.match(number_text):
         raise QuantityParseError(f"malformed number {number_text!r} in {text!r}")
     unit = registry.resolve(unit_text.strip())
-    return Quantity(float(number_text), unit)
+    magnitude = float(number_text)
+    # A 0 from a mantissa with a nonzero digit is an underflow.
+    mantissa = number_text.lower().partition("e")[0] if magnitude == 0 else ""
+    if math.isinf(magnitude) or mantissa.strip("+-0."):
+        ending = "overflows a float" if magnitude else "underflows a float to 0"
+        raise DataError(f"number {number_text!r} in {text!r} {ending}")
+    return Quantity(magnitude, unit)
 
 
 def convert(quantity: Quantity, target: Unit) -> Quantity:

@@ -298,20 +298,20 @@ def test_internal_error_is_one_line_and_exit_3(monkeypatch, capsys):
     ids=["roast", "hull", "fall"],
 )
 def test_case_report_is_looked_up_when_the_command_runs(argv, monkeypatch, capsys):
-    # The parser is built by the first run; a report rebound after that, as
-    # a tracer does, must still be the one that runs.
-    import scalelab.cli as cli
+    # The parser is built by the first run; a casebook report rebound after
+    # that, as a tracer does, must still be the one that runs.
+    import scalelab.casebook as casebook
 
     assert run_command(argv) == 0
     expected = capsys.readouterr().out
     name = f"{argv[1]}_report"
-    report, calls = getattr(cli, name), []
+    report, calls = getattr(casebook, name), []
 
     def counting(*quantities):
         calls.append(quantities)
         return report(*quantities)
 
-    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(casebook, name, counting)
     assert run_command(argv) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == expected

@@ -2,11 +2,12 @@
 
 Every run must end with exit 0, 1 (usage) or 2 (data), never a traceback,
 a float warning or the internal-error exit 3, and a successful run must
-print no NaN, no infinity and no prediction that rounded to 0.  Two
+print no NaN, no infinity and no prediction that rounded to 0.  Three
 exactness properties ride along: a unit change reported by ``diagnose
-unit-change`` matches the refit, and canonical CSV text survives a load
-and a dump bit for bit.  The settings are fixed and derandomized, so the
-suite runs the same examples every time.
+unit-change`` matches the refit, canonical CSV text survives a load and a
+dump bit for bit, and a ``predict`` case gives the same SI prediction
+whatever units its inputs are given in.  The settings are fixed and
+derandomized, so the suite runs the same examples every time.
 """
 
 import contextlib
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from scalelab.casebook import CASES
 from scalelab.cli import run_command
 from scalelab.csvio import dump_csv, load_csv
-from scalelab.units import default_registry
+from scalelab.units import DENSITY, ENERGY, LENGTH, TIME, default_registry
 
 FUZZ = settings(
     max_examples=150,
@@ -122,6 +124,54 @@ def argv_lists(draw):
           "--ref-time", "1e308 yr"])
 def test_generated_command_lines(argv):
     check(argv)
+
+
+# ``(flag, dimensions)`` of each quantity flag of ``predict <case>``; an
+# ``--obs`` value is a radius and a time joined by " @ ".  The table cases
+# read theirs from the case table, so a new row is covered here unchanged.
+CASE_FLAGS = {
+    **{case: [(flag, (dim,)) for flag, _, dim, _ in row.inputs] for case, row in CASES.items()},
+    "blast": [("--energy", (ENERGY,)), ("--time", (TIME,)), ("--rho", (DENSITY,))],
+    "yield": [("--obs", (LENGTH, TIME)), ("--obs", (LENGTH, TIME)), ("--rho", (DENSITY,))],
+}
+
+
+def unit_product(symbols, dimension):
+    """``dimension`` as a product of one symbol per base dimension."""
+    return " ".join(s if e == 1 else f"{s}^{e}"
+                    for s, e in zip(symbols, dimension.as_tuple()) if e)
+
+
+def other_units(dimension):
+    """Every registry unit of ``dimension``, and its product of g, ft and hr."""
+    found = [unit.symbol for unit in default_registry() if unit.dimension == dimension]
+    return found + [unit_product(("g", "ft", "hr", "K", "GBP"), dimension)]
+
+
+@pytest.mark.parametrize("case", list(CASE_FLAGS))
+@FUZZ
+@given(data=st.data())
+def test_prediction_does_not_depend_on_the_input_units(case, data):
+    # Each input is given once in SI base units and once re-expressed in
+    # another unit of its dimension; the SI prediction must agree.
+    si_argv, other_argv = [], []
+    for flag, dimensions in CASE_FLAGS[case]:
+        si_texts, other_texts = [], []
+        for dimension in dimensions:
+            si = data.draw(st.floats(min_value=1e-6, max_value=1e6), label=flag)
+            unit = data.draw(st.sampled_from(other_units(dimension)), label=flag)
+            scale = default_registry().resolve(unit).scale
+            si_texts.append(f"{si!r} {unit_product(('kg', 'm', 's', 'K', 'GBP'), dimension)}")
+            other_texts.append(f"{si / scale!r} {unit}")
+        si_argv += [flag, " @ ".join(si_texts)]
+        other_argv += [flag, " @ ".join(other_texts)]
+    predictions = []
+    for argv in (si_argv, other_argv):
+        code, out, err = run(["predict", "blast" if case == "yield" else case, *argv, "--json"])
+        assert code == 0, (argv, err)
+        predictions.append(json.loads(out)["prediction"])
+    si_prediction, other_prediction = predictions
+    assert abs(other_prediction - si_prediction) <= 1e-12 * abs(si_prediction)
 
 
 CELLS = ("1e-320", "nan", "1e400", "", "0", "-1", "1e300", "1e-300", "inf")

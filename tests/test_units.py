@@ -130,6 +130,28 @@ def test_parse_missing_unit():
         parse_quantity("42")
 
 
+@pytest.mark.parametrize(
+    "text, ending",
+    [
+        ("1e400 ft", "overflows a float"),
+        ("-1e400 ft", "overflows a float"),
+        ("1e-400 ft", "underflows a float to 0"),
+        ("-.5e-400 m s^-2", "underflows a float to 0"),
+    ],
+    ids=["overflow", "negative-overflow", "underflow", "negative-underflow"],
+)
+def test_parse_number_out_of_float_range_is_named(text, ending):
+    number = text.split()[0]
+    with pytest.raises(DataError) as info:
+        parse_quantity(text)
+    assert str(info.value) == f"number {number!r} in {text!r} {ending}"
+
+
+@pytest.mark.parametrize("text", ["0 m", "-0.0e-999 m", "0e400 m", "1e-320 m"])
+def test_parse_zero_and_subnormal_numbers_are_kept(text):
+    assert parse_quantity(text).magnitude == float(text.split()[0])
+
+
 # ---------------------------------------------------------------------------
 # convert
 
