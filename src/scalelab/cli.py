@@ -223,15 +223,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_unit_change(args) -> int:
-    import dataclasses
-
     from .regression import fit, transform_under_unit_change
 
     ds, spec = _load_with_spec(args)
     original = fit(ds, spec)
     new_x0 = default_registry().resolve(args.new_x0)
     transformed = transform_under_unit_change(original, new_x0)
-    refit = fit(ds, dataclasses.replace(spec, predictor_reference=new_x0))
+    refit = fit(ds, transformed.reference_units)
     labels = transformed.coefficient_labels()
     t_vec = transformed.coefficients
     r_vec = refit.coefficients
@@ -313,7 +311,7 @@ def _cmd_blast(args) -> int:
                 raise QuantityParseError(
                     f"expected 'RADIUS @ TIME', got {item!r}"
                 )
-            observations.append((parse_quantity(left), parse_quantity(right)))
+            observations.append((parse_quantity(left.strip()), parse_quantity(right.strip())))
         return _report_out(casebook.yield_report(cfg, observations), args.json)
     if args.energy is None or args.time is None:
         raise _UsageError("blast needs --energy and --time, or --obs", "")

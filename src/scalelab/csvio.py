@@ -14,25 +14,25 @@ import csv
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .regression import DataSet
-from .units import UnitRegistry, default_registry
+from .units import UnitRegistry, _Value, default_registry
 
 __all__ = ["CsvSchema", "parse_header", "load_csv", "dump_csv", "save_csv", "atomic_write"]
 
 _HEADER_RE = re.compile(r"^\s*(?P<name>[^\[\]]+?)\s*\[(?P<unit>[^\[\]]+)\]\s*$")
 
 
-@dataclass(frozen=True)
-class CsvSchema:
+class CsvSchema(_Value):
     """Column names with the unit symbols parsed from ``name[unit]`` headers."""
 
-    names: tuple[str, ...]
-    unit_expressions: tuple[str, ...]
+    __slots__ = ("names", "unit_expressions")
+
+    def __init__(self, names: tuple[str, ...], unit_expressions: tuple[str, ...]):
+        self.__setstate__((names, unit_expressions))
 
 
 def parse_header(cells: list[str]) -> CsvSchema:

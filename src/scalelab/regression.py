@@ -30,7 +30,6 @@ deviations differ: ``2 - 1 > 1 - 1/2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ from .errors import (
     DataError,
     DimensionMismatchError,
 )
-from .units import Quantity, Unit, convert, log_ratio
+from .units import Quantity, Unit, _Value, convert, log_ratio
 
 __all__ = [
     "Column",
@@ -109,17 +108,18 @@ class DataSet:
         return self.n
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Value):
     """What to fit: response and log predictor with their reference units,
     an optional quadratic-in-log term, and linear covariates."""
 
-    response: str
-    response_reference: Unit
-    predictor: str
-    predictor_reference: Unit
-    include_quadratic: bool = False
-    covariates: tuple[tuple[str, Unit], ...] = ()
+    __slots__ = ("response", "response_reference", "predictor", "predictor_reference",
+                 "include_quadratic", "covariates")
+
+    def __init__(self, response: str, response_reference: Unit, predictor: str,
+                 predictor_reference: Unit, include_quadratic: bool = False,
+                 covariates: tuple[tuple[str, Unit], ...] = ()):
+        self.__setstate__((response, response_reference, predictor, predictor_reference,
+                           include_quadratic, covariates))
 
 
 class CovariateCoefficient(NamedTuple):
@@ -128,8 +128,7 @@ class CovariateCoefficient(NamedTuple):
     stderr: float
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
+class FitResult(_Value):
     """Coefficients, their covariance, fit quality, and the reference units
     that fix what the coefficients mean.
 
@@ -142,30 +141,32 @@ class FitResult:
     rounding error of the residuals, and so of their sum, scales with it.
     """
 
-    coefficients: np.ndarray
-    coefficient_covariance: np.ndarray
-    r_squared: float
-    residuals_log: np.ndarray
-    n: int
-    reference_units: ModelSpec
-    residual_scale: float
-    dropped_covariates: tuple[str, ...] = ()
+    __slots__ = ("coefficients", "coefficient_covariance", "r_squared", "residuals_log", "n",
+                 "reference_units", "residual_scale", "dropped_covariates")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # it holds arrays
 
-    def __post_init__(self):
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise DataError(f"r_squared {self.r_squared} outside [0, 1]")
+    def __init__(self, coefficients: np.ndarray, coefficient_covariance: np.ndarray,
+                 r_squared: float, residuals_log: np.ndarray, n: int,
+                 reference_units: ModelSpec, residual_scale: float,
+                 dropped_covariates: tuple[str, ...] = ()):
+        if not 0.0 <= r_squared <= 1.0:
+            raise DataError(f"r_squared {r_squared} outside [0, 1]")
         # With an intercept the residuals sum to zero up to the forward
         # error of computing and adding n of them; written so NaN fails.
-        total = float(self.residuals_log.sum())
-        bound = 16 * self.n * np.finfo(float).eps * self.residual_scale
+        total = float(residuals_log.sum())
+        bound = 16 * n * np.finfo(float).eps * residual_scale
         if not abs(total) <= bound:
             raise DataError(
                 f"residuals sum to {total:.3g}, beyond the rounding bound "
                 f"{bound:.3g}; intercept fit failed"
             )
-        self.coefficients.setflags(write=False)
-        self.residuals_log.setflags(write=False)
-        self.coefficient_covariance.setflags(write=False)
+        self.__setstate__((coefficients, coefficient_covariance, r_squared, residuals_log, n,
+                           reference_units, residual_scale, dropped_covariates))
+
+    def __setstate__(self, values) -> None:  # so copies and pickles stay read-only too
+        super().__setstate__(values)
+        for array in (self.coefficients, self.coefficient_covariance, self.residuals_log):
+            array.setflags(write=False)
 
     def _stderr(self, i: int) -> float:
         return float(np.sqrt(self.coefficient_covariance[i, i]))
@@ -422,7 +423,8 @@ def fit_with_covariates(ds: DataSet, spec: ModelSpec) -> FitResult:
 def fit_quadratic_log(ds: DataSet, spec: ModelSpec) -> FitResult:
     """:func:`fit` with the quadratic term switched on."""
     if not spec.include_quadratic:
-        spec = replace(spec, include_quadratic=True)
+        spec = ModelSpec(spec.response, spec.response_reference, spec.predictor,
+                         spec.predictor_reference, True, spec.covariates)
     return fit(ds, spec)
 
 
@@ -458,12 +460,12 @@ def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResul
         transform[0, 2] = shift * shift
         transform[1, 2] = 2.0 * shift
 
-    return replace(
-        fit,
-        coefficients=transform @ fit.coefficients,
-        coefficient_covariance=transform @ fit.coefficient_covariance @ transform.T,
-        reference_units=replace(spec, predictor_reference=new_reference),
-    )
+    moved = ModelSpec(spec.response, spec.response_reference, spec.predictor, new_reference,
+                      spec.include_quadratic, spec.covariates)
+    return FitResult(transform @ fit.coefficients,
+                     transform @ fit.coefficient_covariance @ transform.T,
+                     fit.r_squared, fit.residuals_log, fit.n, moved, fit.residual_scale,
+                     fit.dropped_covariates)
 
 
 def residual_distance_ratio(

@@ -9,12 +9,11 @@ unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DataError
 from .regression import DataSet, FitResult, _log_ratio_column
-from .units import Unit
+from .units import Unit, _Value
 
 __all__ = ["PlotSpec", "emit_svg_plot", "plot_maps"]
 
@@ -27,14 +26,13 @@ MARGIN_BOTTOM = 50
 CURVE_SAMPLES = 100
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(_Value):
     """Which columns to plot, against which reference units."""
 
-    x: str
-    y: str
-    x_reference: Unit
-    y_reference: Unit
+    __slots__ = ("x", "y", "x_reference", "y_reference")
+
+    def __init__(self, x: str, y: str, x_reference: Unit, y_reference: Unit):
+        self.__setstate__((x, y, x_reference, y_reference))
 
     def x_label(self) -> str:
         return f"log({self.x}/{self.x_reference.symbol})"

@@ -26,8 +26,8 @@ All types here are immutable values and every operation is pure, so the
 module is safe for unrestricted concurrent use.  A registry is built once
 and then treated as read-only.
 
-The value classes here and in :mod:`~scalelab.algebra` and
-:mod:`~scalelab.casebook` share one private ``__slots__`` base: equality
+The value classes here and in ``algebra``, ``casebook``, ``regression``,
+``csvio`` and ``svgplot`` share one private ``__slots__`` base: equality
 of the fields within one class, hashing, a ``Class(field=value, ...)``
 repr, copy and pickle, and an ``AttributeError`` on setting or deleting an
 attribute.  Each class's ``__init__`` checks its arguments and sets its

@@ -1,5 +1,5 @@
-"""Commands that need no fitting must start without importing numpy or
-``dataclasses`` (which imports ``inspect``).
+"""Commands that need no fitting must start without importing numpy, and
+no command may import ``dataclasses`` (which imports ``inspect``).
 
 numpy is already loaded in the test process, so each command runs in a
 fresh interpreter that reports its exit code and whether numpy and
@@ -60,11 +60,34 @@ def test_command_runs_without_numpy(argv, expected_code):
 
 
 def test_fit_command_imports_numpy():
-    # The control case: the probe does see numpy and dataclasses when a
-    # command loads them.
+    # The control case: the probe does see numpy when a command loads it.
     argv = ["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length",
             "--y", "price"]
-    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True, True)
+    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True, False)
+
+
+FIT_ARGS = ["--csv", str(DATA_DIR / "metabolic.csv"), "--x", "mass", "--y", "bmr"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", *FIT_ARGS, "--quadratic", "--json"],
+        ["diagnose", "unit-change", *FIT_ARGS, "--new-x0", "kg", "--quadratic"],
+        ["diagnose", "residuals", *FIT_ARGS, "--row", "0", "--row", "1"],
+        ["plot", *FIT_ARGS, "--fit", "--out", "{tmp}/plot.svg"],
+    ],
+    ids=["fit", "unit-change", "residuals", "plot"],
+)
+def test_fit_family_loads_numpy_but_not_dataclasses(argv, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True, False)
+
+
+def test_the_probe_sees_dataclasses_when_it_is_imported():
+    script = "import dataclasses\n" + RUN_COMMAND
+    argv = ["pi", "--quantities", "E:J,t:s,rho:kg m^-3,r:m"]
+    assert run_fresh(script, json.dumps(argv)) == (0, False, True)
 
 
 def test_import_scalelab_defers_numpy_until_a_lazy_name_is_used():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -15,6 +14,7 @@ from scalelab.errors import (
 from scalelab.regression import (
     CovariateCoefficient,
     DataSet,
+    FitResult,
     ModelSpec,
     fit,
     fit_power_law,
@@ -301,7 +301,7 @@ def test_unit_change_beyond_the_float_range_matches_refit(include_quadratic):
     assert new.scale / old.scale == 0.0
     spec = ModelSpec("bmr", W, "mass", old, include_quadratic=include_quadratic)
     transformed = transform_under_unit_change(fit(ds, spec), new)
-    refit = fit(ds, dataclasses.replace(spec, predictor_reference=new))
+    refit = fit(ds, ModelSpec("bmr", W, "mass", new, include_quadratic=include_quadratic))
     assert np.all(np.isfinite(transformed.coefficient_covariance))
     scale = np.abs(refit.coefficients).max()
     assert np.abs(transformed.coefficients - refit.coefficients).max() <= 1e-9 * scale
@@ -570,7 +570,7 @@ def test_coefficient_arrays_are_read_only():
         fitted.coefficients[0] = 0.0
     with pytest.raises(ValueError):
         fitted.coefficient_covariance[0, 0] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         fitted.coefficients = np.zeros(3)
 
 
@@ -622,11 +622,17 @@ def test_residuals_sum_to_zero_with_intercept():
     assert abs(float(fit.residuals_log.sum())) < 1e-9
 
 
+def with_residuals(fit, residuals):
+    """A new FitResult with the fields of ``fit`` but these residuals."""
+    return FitResult(fit.coefficients, fit.coefficient_covariance, fit.r_squared, residuals,
+                     fit.n, fit.reference_units, fit.residual_scale, fit.dropped_covariates)
+
+
 def test_broken_intercept_is_caught():
     x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     fit = fit_power_law(power_law_dataset(x, 3 * x**2.5), plain_spec())
     with pytest.raises(DataError, match="intercept fit failed"):
-        dataclasses.replace(fit, residuals_log=fit.residuals_log + 1e-9)
+        with_residuals(fit, fit.residuals_log + 1e-9)
 
 
 def test_nan_residuals_are_caught():
@@ -635,7 +641,9 @@ def test_nan_residuals_are_caught():
     residuals = fit.residuals_log.copy()
     residuals[2] = np.nan
     with pytest.raises(DataError, match="intercept fit failed"):
-        dataclasses.replace(fit, residuals_log=residuals)
+        with_residuals(fit, residuals)
+    # The checks run before any array is frozen.
+    assert residuals.flags.writeable
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,11 +1,13 @@
 """The value-class contract of Dimension, Unit, Quantity, ScalingRelation,
-PiGroup, BlastConfig and CaseReport.
+PiGroup, BlastConfig, CaseReport, ModelSpec, CsvSchema, PlotSpec and
+FitResult.
 
 Each is an immutable value: equal fields compare equal (and hash equal
 unless a field holds a dict), fields cannot be set or deleted, copies and
 pickles are equal values, construction takes the fields positionally or
 by keyword and runs its checks in a fixed order, and ``repr`` prints the
-fields in declaration order.
+fields in declaration order.  A FitResult holds arrays, so it is equal
+only to itself, and its arrays stay read-only in every copy.
 """
 
 import base64
@@ -15,10 +17,12 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scalelab.algebra import PiGroup, ScalingRelation
 from scalelab.casebook import BlastConfig, CaseReport
+from scalelab.csvio import CsvSchema
 from scalelab.errors import (
     CapacityError,
     DataError,
@@ -26,10 +30,21 @@ from scalelab.errors import (
     QuantityParseError,
     RelationError,
 )
-from scalelab.units import DENSITY, LENGTH, Dimension, Quantity, Unit, parse_quantity
+from scalelab.regression import FitResult, ModelSpec
+from scalelab.svgplot import PlotSpec
+from scalelab.units import (
+    DENSITY,
+    LENGTH,
+    Dimension,
+    Quantity,
+    Unit,
+    default_registry,
+    parse_quantity,
+)
 
 M = Unit("m", LENGTH, 1.0)
 AIR = parse_quantity("1.2 kg m^-3")
+W, G, YR = (default_registry().symbol(symbol) for symbol in ("W", "g", "yr"))
 
 
 def hull_relation():
@@ -46,6 +61,9 @@ FACTORIES = {
     "BlastConfig": lambda: BlastConfig(2.0, AIR),
     "CaseReport": lambda: CaseReport("hull", (("l", Quantity(2.0, M)),), hull_relation(),
                                      "C", Quantity(2.0, M), LENGTH),
+    "ModelSpec": lambda: ModelSpec("bmr", W, "mass", G, True, (("age", YR),)),
+    "CsvSchema": lambda: CsvSchema(("mass", "bmr"), ("g", "W")),
+    "PlotSpec": lambda: PlotSpec("mass", "bmr", G, W),
 }
 UNHASHABLE = {"ScalingRelation", "CaseReport"}  # both hold a dict
 
@@ -58,6 +76,10 @@ FIELDS = {
     "BlastConfig": ("prefactor", "rho"),
     "CaseReport": ("title", "inputs", "relation", "prefactor_label", "prediction",
                    "output_dimension", "display", "notes"),
+    "ModelSpec": ("response", "response_reference", "predictor", "predictor_reference",
+                  "include_quadratic", "covariates"),
+    "CsvSchema": ("names", "unit_expressions"),
+    "PlotSpec": ("x", "y", "x_reference", "y_reference"),
 }
 
 CLASSES = sorted(FACTORIES)
@@ -95,6 +117,9 @@ def test_a_different_field_makes_a_different_value(name):
         "PiGroup": PiGroup(("E", "r"), (1, -2)),
         "BlastConfig": BlastConfig(),
         "CaseReport": CaseReport("hull", (), hull_relation(), "C", Quantity(2.0, M), LENGTH),
+        "ModelSpec": ModelSpec("bmr", W, "mass", G, True),
+        "CsvSchema": CsvSchema(("mass", "bmr"), ("kg", "W")),
+        "PlotSpec": PlotSpec("mass", "bmr", W, G),
     }
     assert a != others[name]
     assert a != (a,)
@@ -114,11 +139,16 @@ def test_fields_cannot_be_set_or_deleted(name):
         value.extra = 1
 
 
+def copies_and_pickles(value):
+    """``copy.copy``, ``copy.deepcopy`` and a pickle at every protocol of ``value``."""
+    pickles = (pickle.dumps(value, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+    return [copy.copy(value), copy.deepcopy(value), *map(pickle.loads, pickles)]
+
+
 @pytest.mark.parametrize("name", CLASSES)
 def test_copies_and_pickles_are_equal_values(name):
     value = FACTORIES[name]()
-    pickles = (pickle.dumps(value, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
-    for twin in (copy.copy(value), copy.deepcopy(value), *map(pickle.loads, pickles)):
+    for twin in copies_and_pickles(value):
         assert type(twin) is type(value)
         assert twin == value
         assert repr(twin) == repr(value)
@@ -126,9 +156,28 @@ def test_copies_and_pickles_are_equal_values(name):
             assert hash(twin) == hash(value)
 
 
-# Protocol-2 pickles of Quantity(2.0, m) and PiGroup(("E", "t"), (1, -2)),
-# written when these classes were frozen dataclasses.
+# Protocol-2 pickles of Quantity(2.0, m), PiGroup(("E", "t"), (1, -2)) and
+# the ModelSpec and PlotSpec of FACTORIES, written when these classes were
+# frozen dataclasses.
 DATACLASS_PICKLES = {
+    "ModelSpec": (
+        "gAJjc2NhbGVsYWIucmVncmVzc2lvbgpNb2RlbFNwZWMKcQApgXEBfXECKFgIAAAAcmVzcG9u"
+        "c2VxA1gDAAAAYm1ycQRYEgAAAHJlc3BvbnNlX3JlZmVyZW5jZXEFY3NjYWxlbGFiLnVuaXRz"
+        "ClVuaXQKcQYpgXEHWAEAAABXcQhjc2NhbGVsYWIudW5pdHMKRGltZW5zaW9uCnEJKYFxCihL"
+        "AUsCSv3///9LAEsAdHELSwGGcQxiRz/wAAAAAAAAh3ENYlgJAAAAcHJlZGljdG9ycQ5YBAAA"
+        "AG1hc3NxD1gTAAAAcHJlZGljdG9yX3JlZmVyZW5jZXEQaAYpgXERWAEAAABncRJoCSmBcRMo"
+        "SwFLAEsASwBLAHRxFEsBhnEVYkc/UGJN0vGp/IdxFmJYEQAAAGluY2x1ZGVfcXVhZHJhdGlj"
+        "cReIWAoAAABjb3ZhcmlhdGVzcRhYAwAAAGFnZXEZaAYpgXEaWAIAAAB5cnEbaAkpgXEcKEsA"
+        "SwBLAUsASwB0cR1LAYZxHmJHQX4YWIAAAACHcR9ihnEghXEhdWIu"
+    ),
+    "PlotSpec": (
+        "gAJjc2NhbGVsYWIuc3ZncGxvdApQbG90U3BlYwpxACmBcQF9cQIoWAEAAAB4cQNYBAAAAG1h"
+        "c3NxBFgBAAAAeXEFWAMAAABibXJxBlgLAAAAeF9yZWZlcmVuY2VxB2NzY2FsZWxhYi51bml0"
+        "cwpVbml0CnEIKYFxCVgBAAAAZ3EKY3NjYWxlbGFiLnVuaXRzCkRpbWVuc2lvbgpxCymBcQwo"
+        "SwFLAEsASwBLAHRxDUsBhnEOYkc/UGJN0vGp/IdxD2JYCwAAAHlfcmVmZXJlbmNlcRBoCCmB"
+        "cRFYAQAAAFdxEmgLKYFxEyhLAUsCSv3///9LAEsAdHEUSwGGcRViRz/wAAAAAAAAh3EWYnVi"
+        "Lg=="
+    ),
     "Quantity": (
         "gAJjc2NhbGVsYWIudW5pdHMKUXVhbnRpdHkKcQApgXEBfXECKFgJAAAAbWFnbml0dWRlcQNH"
         "QAAAAAAAAABYBAAAAHVuaXRxBGNzY2FsZWxhYi51bml0cwpVbml0CnEFKYFxBn1xByhYBgAA"
@@ -151,6 +200,97 @@ def test_pickles_of_the_dataclass_versions_still_load(name):
     assert type(value) is type(expected)
     assert value == expected
     assert repr(value) == repr(expected)
+
+
+# A protocol-2 pickle of fit_result(), written when FitResult was a frozen
+# dataclass; its arrays were writable once loaded.
+DATACLASS_FIT_RESULT = (
+    "gAJjc2NhbGVsYWIucmVncmVzc2lvbgpGaXRSZXN1bHQKcQApgXEBfXECKFgMAAAAY29lZmZp"
+    "Y2llbnRzcQNjbnVtcHkuX2NvcmUubXVsdGlhcnJheQpfcmVjb25zdHJ1Y3QKcQRjbnVtcHkK"
+    "bmRhcnJheQpxBUsAhXEGY19jb2RlY3MKZW5jb2RlCnEHWAEAAABicQhYBgAAAGxhdGluMXEJ"
+    "hnEKUnELh3EMUnENKEsBSwOFcQ5jbnVtcHkKZHR5cGUKcQ9YAgAAAGY4cRCJiIdxEVJxEihL"
+    "A1gBAAAAPHETTk5OSv////9K/////0sAdHEUYoloB1gcAAAAAAAAAAAAw6A/AAAAAAAAw6g/"
+    "AAAAAAAAw5DCv3EVaAmGcRZScRd0cRhiWBYAAABjb2VmZmljaWVudF9jb3ZhcmlhbmNlcRlo"
+    "BGgFSwCFcRpoC4dxG1JxHChLAUsDSwOGcR1oEoloB1hQAAAAexTCrkfDoXrCpD8AAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAAAAB7FMKuR8OhesKEPwAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAHsU"
+    "wq5Hw6F6ZD9xHmgJhnEfUnEgdHEhYlgJAAAAcl9zcXVhcmVkcSJHP+zMzMzMzM1YDQAAAHJl"
+    "c2lkdWFsc19sb2dxI2gEaAVLAIVxJGgLh3ElUnEmKEsBSwOFcSdoEoloB1gcAAAAAAAAAAAA"
+    "w6A/AAAAAAAAw7DCvwAAAAAAAMOgP3EoaAmGcSlScSp0cStiWAEAAABucSxLA1gPAAAAcmVm"
+    "ZXJlbmNlX3VuaXRzcS1jc2NhbGVsYWIucmVncmVzc2lvbgpNb2RlbFNwZWMKcS4pgXEvfXEw"
+    "KFgIAAAAcmVzcG9uc2VxMVgDAAAAYm1ycTJYEgAAAHJlc3BvbnNlX3JlZmVyZW5jZXEzY3Nj"
+    "YWxlbGFiLnVuaXRzClVuaXQKcTQpgXE1WAEAAABXcTZjc2NhbGVsYWIudW5pdHMKRGltZW5z"
+    "aW9uCnE3KYFxOChLAUsCSv3///9LAEsAdHE5SwGGcTpiRz/wAAAAAAAAh3E7YlgJAAAAcHJl"
+    "ZGljdG9ycTxYBAAAAG1hc3NxPVgTAAAAcHJlZGljdG9yX3JlZmVyZW5jZXE+aDQpgXE/WAEA"
+    "AABncUBoNymBcUEoSwFLAEsASwBLAHRxQksBhnFDYkc/UGJN0vGp/IdxRGJYEQAAAGluY2x1"
+    "ZGVfcXVhZHJhdGljcUWIWAoAAABjb3ZhcmlhdGVzcUZYAwAAAGFnZXFHaDQpgXFIWAIAAAB5"
+    "cnFJaDcpgXFKKEsASwBLAUsASwB0cUtLAYZxTGJHQX4YWIAAAACHcU1ihnFOhXFPdWJYDgAA"
+    "AHJlc2lkdWFsX3NjYWxlcVBHQCAAAAAAAABYEgAAAGRyb3BwZWRfY292YXJpYXRlc3FRKXVi"
+    "Lg=="
+)
+
+
+def fit_result(**fields):
+    """A FitResult with fixed fields; each call builds new arrays."""
+    values = dict(coefficients=np.array([0.5, 0.75, -0.25]),
+                  coefficient_covariance=np.diag([0.04, 0.01, 0.0025]), r_squared=0.9,
+                  residuals_log=np.array([0.5, -1.0, 0.5]), n=3,
+                  reference_units=FACTORIES["ModelSpec"](), residual_scale=8.0)
+    return FitResult(**{**values, **fields})
+
+
+FIT_ARRAYS = ("coefficients", "coefficient_covariance", "residuals_log")
+FIT_FIELDS = (*FIT_ARRAYS, "r_squared", "n", "reference_units", "residual_scale",
+              "dropped_covariates")
+
+
+def assert_same_fit(twin, fit):
+    """``twin`` is a FitResult with ``fit``'s fields and read-only arrays."""
+    assert type(twin) is FitResult
+    for field in FIT_ARRAYS:
+        array = getattr(twin, field)
+        np.testing.assert_array_equal(array, getattr(fit, field))
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    for field in FIT_FIELDS[len(FIT_ARRAYS):]:
+        assert getattr(twin, field) == getattr(fit, field)
+    assert repr(twin) == repr(fit)
+
+
+def test_a_fit_result_is_equal_only_to_itself():
+    fit, twin = fit_result(), fit_result()
+    assert fit == fit and not fit != fit
+    assert fit != twin and not fit == twin
+    assert hash(fit) == hash(fit) and len({fit, twin, fit}) == 2
+    for field in FIT_FIELDS:
+        before = getattr(fit, field)
+        with pytest.raises(AttributeError):
+            setattr(fit, field, before)
+        with pytest.raises(AttributeError):
+            delattr(fit, field)
+        assert getattr(fit, field) is before
+    with pytest.raises(AttributeError):
+        fit.extra = 1
+
+
+def test_fit_result_copies_and_pickles_keep_the_fields_and_read_only_arrays():
+    fit = fit_result()
+    for twin in copies_and_pickles(fit):
+        assert twin != fit
+        assert_same_fit(twin, fit)
+
+
+def test_pickle_of_the_dataclass_fit_result_still_loads():
+    assert_same_fit(pickle.loads(base64.b64decode(DATACLASS_FIT_RESULT)), fit_result())
+
+
+def test_fit_result_positional_and_keyword_construction_agree():
+    fit = fit_result()
+    positional = FitResult(fit.coefficients, fit.coefficient_covariance, fit.r_squared,
+                           fit.residuals_log, fit.n, fit.reference_units, fit.residual_scale)
+    assert_same_fit(positional, fit)
+    assert positional.dropped_covariates == ()
+    assert positional.coefficients is fit.coefficients  # frozen in place, not copied
 
 
 class Metre(Unit):
@@ -194,6 +334,14 @@ def test_positional_and_keyword_construction_agree():
                     prediction=q, output_dimension=LENGTH)),
         (CaseReport("hull", (), rel, "C", q, LENGTH, q, "n"),
          CaseReport("hull", (), rel, "C", q, LENGTH, notes="n", display=q)),
+        (ModelSpec("bmr", W, "mass", G, False, ()),
+         ModelSpec(predictor="mass", predictor_reference=G, response="bmr",
+                   response_reference=W)),
+        (ModelSpec("bmr", W, "mass", G, True, (("age", YR),)),
+         ModelSpec("bmr", W, "mass", G, covariates=(("age", YR),), include_quadratic=True)),
+        (CsvSchema(("mass",), ("g",)), CsvSchema(unit_expressions=("g",), names=("mass",))),
+        (PlotSpec("mass", "bmr", G, W),
+         PlotSpec(y="bmr", x="mass", y_reference=W, x_reference=G)),
     ]
     for positional, keyword in pairs:
         assert positional == keyword
@@ -208,6 +356,9 @@ def test_defaults():
     assert report.display is None
     assert report.notes == ""
     assert Dimension() == Dimension(0, 0, 0, 0, 0)
+    spec = ModelSpec("bmr", W, "mass", G)
+    assert spec.include_quadratic is False
+    assert spec.covariates == ()
 
 
 def test_construction_normalises_its_fields():
@@ -276,13 +427,21 @@ def _report(prediction):
          "blast density 9.88131e-323 g m^-3 underflows a float to 0 in SI units"),
         (_report(parse_quantity("2 s")), DimensionMismatchError,
          "hull speed prediction: incommensurable dimensions [T] and [L]"),
+        (lambda: fit_result(r_squared=1.5, residuals_log=np.array([0.5, -1.0, 1.0])),
+         DataError, "r_squared 1.5 outside [0, 1]"),
+        (lambda: fit_result(r_squared=math.nan), DataError, "r_squared nan outside [0, 1]"),
+        (lambda: fit_result(residuals_log=np.array([0.5, -1.0, 1.0])), DataError,
+         "residuals sum to 0.5, beyond the rounding bound 8.53e-14; intercept fit failed"),
+        (lambda: fit_result(residuals_log=np.array([0.5, -1.0, math.nan])), DataError,
+         "residuals sum to nan, beyond the rounding bound 8.53e-14; intercept fit failed"),
     ],
     ids=["dim-float", "dim-malformed", "dim-first-error", "dim-capacity", "unit-symbol-first",
          "unit-zero-scale", "unit-inf-scale", "unit-nan-scale", "quantity-inf", "quantity-nan",
          "quantity-text", "relation-target-first", "relation-float", "relation-target-term",
          "relation-target-among-terms", "pi-align", "pi-zero", "pi-gcd", "pi-sign",
          "blast-inf", "blast-nan-first", "blast-zero", "blast-negative", "blast-rho-dimension",
-         "blast-rho-sign", "blast-rho-si", "report-dimension"],
+         "blast-rho-sign", "blast-rho-si", "report-dimension", "fit-r-squared-first",
+         "fit-r-squared-nan", "fit-residual-sum", "fit-residual-nan"],
 )
 def test_validation_errors_keep_their_type_and_message(construct, error, message):
     with pytest.raises(error) as info:
@@ -304,6 +463,12 @@ Q2 = f"Quantity(magnitude=2.0, unit={UNIT_M})"
 REL = "ScalingRelation(target='v', exponents={'g': Fraction(1, 2), 'l': Fraction(1, 2)})"
 AIR_REPR = ("Quantity(magnitude=1.2, unit=Unit(symbol='kg m^-3', "
             f"dimension={_dim(1, -3, 0, 0, 0)}, scale=1.0))")
+UNIT_W = f"Unit(symbol='W', dimension={_dim(1, 2, -3, 0, 0)}, scale=1.0)"
+UNIT_G = f"Unit(symbol='g', dimension={_dim(1, 0, 0, 0, 0)}, scale=0.001)"
+UNIT_YR = f"Unit(symbol='yr', dimension={_dim(0, 0, 1, 0, 0)}, scale=31557000.0)"
+SPEC = (f"ModelSpec(response='bmr', response_reference={UNIT_W}, predictor='mass', "
+        f"predictor_reference={UNIT_G}, include_quadratic=True, "
+        f"covariates=(('age', {UNIT_YR}),))")
 
 
 @pytest.mark.parametrize(
@@ -322,6 +487,9 @@ AIR_REPR = ("Quantity(magnitude=1.2, unit=Unit(symbol='kg m^-3', "
         ("CaseReport", f"CaseReport(title='hull', inputs=(('l', {Q2}),), relation={REL}, "
                        f"prefactor_label='C', prediction={Q2}, "
                        f"output_dimension={_dim(0, 1, 0, 0, 0)}, display=None, notes='')"),
+        ("ModelSpec", SPEC),
+        ("CsvSchema", "CsvSchema(names=('mass', 'bmr'), unit_expressions=('g', 'W'))"),
+        ("PlotSpec", f"PlotSpec(x='mass', y='bmr', x_reference={UNIT_G}, y_reference={UNIT_W})"),
     ],
 )
 def test_repr_lists_the_fields_in_order(name, expected):
@@ -338,3 +506,14 @@ def test_repr_of_defaults_and_optional_fields():
     assert repr(BlastConfig()) == f"BlastConfig(prefactor=1.0, rho={AIR_REPR})"
     assert repr(Dimension(time=-1)) == _dim(0, 0, -1, 0, 0)
     assert repr(DENSITY) == _dim(1, -3, 0, 0, 0)
+
+
+def test_repr_of_a_fit_result():
+    assert repr(fit_result()) == (
+        "FitResult(coefficients=array([ 0.5 ,  0.75, -0.25]), "
+        "coefficient_covariance=array([[0.04  , 0.    , 0.    ],\n"
+        "       [0.    , 0.01  , 0.    ],\n"
+        "       [0.    , 0.    , 0.0025]]), r_squared=0.9, "
+        f"residuals_log=array([ 0.5, -1. ,  0.5]), n=3, reference_units={SPEC}, "
+        "residual_scale=8.0, dropped_covariates=())"
+    )
