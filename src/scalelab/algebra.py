@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -40,6 +41,8 @@ from .units import (
     _Value,
     _as_exponent,
     _dimension,
+    _in_range,
+    _reduced,
     _render_monomial,
     coherent_unit,
 )
@@ -99,8 +102,14 @@ class ScalingRelation(_Value):
 
         The prefactor is a number or a quantity; the result's dimension is
         the prefactor's plus the exponent-weighted sum of the bound
-        dimensions, as quantity arithmetic works it out; a :class:`DataError`
-        from that arithmetic is raised again naming the relation.
+        dimensions.  The answer is the quantity fold
+        ``result = bindings[name] ** exp * result``, from
+        ``result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor``,
+        bit for bit and with the same errors, but the fold runs on each
+        term's SI magnitude and dimension, so one quantity is built at the
+        end; the operands of a ``*`` are built only to name them in its
+        error.  A :class:`DataError` from the arithmetic is raised again
+        naming the relation.
         """
         unbound = [name for name in self.exponents if name not in bindings]
         if unbound:
@@ -109,11 +118,18 @@ class ScalingRelation(_Value):
             )
         try:
             result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
+            magnitude, dimension = result.magnitude, result.dimension
             for name, exp in self.exponents.items():
-                result = bindings[name] ** exp * result
+                term, term_dimension = bindings[name]._power(exp)
+                product_dimension = term_dimension * dimension
+                product = term * magnitude
+                if not math.isfinite(product) or product == 0 and term and magnitude:
+                    _in_range(mul, term, magnitude, Quantity(term, coherent_unit(term_dimension)),
+                              "*", Quantity(magnitude, coherent_unit(dimension)))
+                magnitude, dimension = product, product_dimension
         except DataError as exc:
             raise DataError(f"evaluating {self.render()!r}: {exc}") from None
-        return result
+        return Quantity(magnitude, coherent_unit(dimension))
 
     def __str__(self) -> str:
         return self.render()
@@ -295,7 +311,7 @@ def solve_target_exponents(
     if total != [denominator * row[n] for row in rows]:
         raise DerivationError(
             f"internal check failed: substitution gives "
-            f"[{_dimension(tuple(total), common * denominator)}], expected [{target}]"
+            f"[{_dimension(*_reduced(tuple(total), common * denominator))}], expected [{target}]"
         )
     return ScalingRelation(
         target_name,
@@ -332,7 +348,7 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
         if any(total):
             raise DerivationError(
                 f"internal check failed: group {group.render()} has dimension "
-                f"[{_dimension(tuple(total), common)}]"
+                f"[{_dimension(*_reduced(tuple(total), common))}]"
             )
         basis.append(group)
     return basis

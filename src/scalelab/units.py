@@ -24,7 +24,12 @@ silently becomes 0 or inf and no float exception escapes as a traceback.
 
 All types here are immutable values and every operation is pure, so the
 module is safe for unrestricted concurrent use.  A registry is built once
-and then treated as read-only.
+and then treated as read-only.  What it does write is a table of the
+tokens (``kg``, ``m^-3`` ...) it has resolved, filled on first use and
+capped at 4096 entries; a token that fails is never stored, so a later
+:meth:`UnitRegistry.register` is seen, and two threads filling one entry
+store equal values.  :func:`coherent_unit` shares one unit per dimension
+among its callers.
 
 The value classes here and in ``algebra``, ``casebook``, ``regression``,
 ``csvio`` and ``svgplot`` share one private ``__slots__`` base: equality
@@ -85,6 +90,9 @@ __all__ = [
 
 # Bound on |numerator| and denominator of any dimension exponent.
 _CAPACITY = 2**31
+# Most tokens one registry's token table keeps; past it, a token is parsed
+# on each use.
+_TOKEN_TABLE_SIZE = 4096
 
 
 def _bounded(numerator: int, denominator: int) -> tuple[int, int]:
@@ -242,13 +250,7 @@ class Dimension(_Value):
 
     def combine(self, other: Dimension, exponent=1) -> Dimension:
         """Return ``self + exponent * other``, component-wise and exact."""
-        # self + (p/q) other over the lcm of the two denominators.
-        p, q = _ratio(exponent)
-        mine, theirs = self.denominator, other.denominator * q
-        common = mine if mine == theirs else math.lcm(mine, theirs)
-        s, t = common // mine, p * (common // theirs)
-        pairs = zip(self.numerators, other.numerators)
-        return _dimension(tuple(a * s + b * t for a, b in pairs), common)
+        return _dimension(*_combined(self.numerators, self.denominator, other, *_ratio(exponent)))
 
     def __mul__(self, other: Dimension) -> Dimension:
         return self.combine(other)
@@ -258,7 +260,7 @@ class Dimension(_Value):
 
     def __pow__(self, exponent) -> Dimension:
         p, q = _ratio(exponent)
-        return _dimension(tuple(n * p for n in self.numerators), self.denominator * q)
+        return _dimension(*_reduced(tuple(n * p for n in self.numerators), self.denominator * q))
 
     def __repr__(self) -> str:
         fields = zip(self._FIELDS, self.as_tuple())
@@ -268,9 +270,9 @@ class Dimension(_Value):
         return _render_monomial(self._LETTERS, self.numerators, self.denominator)
 
 
-def _dimension(numerators: tuple[int, ...], denominator: int) -> Dimension:
-    """The Dimension ``numerators / denominator`` (denominator > 0), reduced
-    and checked against the bound."""
+def _reduced(numerators: tuple[int, ...], denominator: int) -> tuple[tuple[int, ...], int]:
+    """``numerators / denominator`` (denominator > 0) in reduced form,
+    checked against the bound."""
     if denominator != 1:
         g = math.gcd(denominator, *numerators)
         if g != 1:
@@ -281,6 +283,23 @@ def _dimension(numerators: tuple[int, ...], denominator: int) -> Dimension:
         for n in numerators:
             g = math.gcd(n, denominator)
             _bounded(n // g, denominator // g)
+    return numerators, denominator
+
+
+def _combined(numerators: tuple[int, ...], denominator: int, other: Dimension,
+              p: int, q: int) -> tuple[tuple[int, ...], int]:
+    """``numerators / denominator + (p/q) other`` over the lcm of the two
+    denominators, reduced and checked against the bound."""
+    theirs = other.denominator * q
+    common = denominator if denominator == theirs else math.lcm(denominator, theirs)
+    s, t = common // denominator, p * (common // theirs)
+    pairs = zip(numerators, other.numerators)
+    # A list, not a generator: resolve runs this per token, and it is faster.
+    return _reduced(tuple([a * s + b * t for a, b in pairs]), common)
+
+
+def _dimension(numerators: tuple[int, ...], denominator: int) -> Dimension:
+    """The Dimension of a reduced, bounded ``numerators / denominator``."""
     dim = object.__new__(Dimension)
     _set(dim, "numerators", numerators)
     _set(dim, "denominator", denominator)
@@ -328,8 +347,10 @@ class Unit(_Value):
         return self.symbol
 
 
+@functools.lru_cache(maxsize=256)
 def coherent_unit(dimension: Dimension) -> Unit:
-    """The scale-1 unit of a dimension, named from the SI base symbols."""
+    """The scale-1 unit of a dimension, named from the SI base symbols;
+    units are immutable, so callers share one per dimension."""
     symbol = _render_monomial(
         _SI_BASE_SYMBOLS, dimension.numerators, dimension.denominator
     )
@@ -427,14 +448,18 @@ class Quantity(_Value):
         return self._apply(truediv, "/", other)
 
     def __pow__(self, exponent) -> Quantity:
-        k = _as_exponent(exponent)
+        magnitude, dim = self._power(_as_exponent(exponent))
+        return Quantity(magnitude, coherent_unit(dim))
+
+    def _power(self, k: Fraction) -> tuple[float, Dimension]:
+        """The SI magnitude and the dimension of ``self ** k``, checked as
+        ``**`` checks them."""
         if self.si_value < 0 and k.denominator != 1:
             raise DataError(
                 f"cannot raise negative quantity {self} to fractional power {k}"
             )
         dim = self.dimension ** k
-        magnitude = _in_range(pow, self._checked_si(), float(k), self, "to the power", k)
-        return Quantity(magnitude, coherent_unit(dim))
+        return _in_range(pow, self._checked_si(), float(k), self, "to the power", k), dim
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit.symbol}"
@@ -451,6 +476,7 @@ class UnitRegistry:
 
     def __init__(self):
         self._units: dict[str, Unit] = {}
+        self._tokens: dict[str, tuple] = {}
         self._read_only = False
 
     def register(self, symbol: str, dimension: Dimension, scale: float) -> Unit:
@@ -488,20 +514,32 @@ class UnitRegistry:
             raise QuantityParseError("empty unit expression")
         if len(tokens) == 1 and tokens[0] in self._units:
             return self._units[tokens[0]]
-        dim = DIMENSIONLESS
+        # The exponents accumulate as integers over one denominator, bounded
+        # after each token, so a partial sum past the bound raises.
+        numerators, denominator = DIMENSIONLESS.numerators, 1
         scale = 1.0
         normalized = []
         for token in tokens:
-            symbol, caret, exp_text = token.partition("^")
-            unit = self.symbol(symbol)
-            p, q = _parse_rational(exp_text) if caret else (1, 1)
-            dim = dim.combine(unit.dimension, p if q == 1 else Fraction(p, q))
-            try:
-                scale *= unit.scale ** (p / q)
-            except OverflowError:  # Unit rejects it, as it rejects a 0 scale
-                scale = math.inf
-            normalized.append(symbol if p == q else f"{symbol}^{_fraction_text(p, q)}")
-        return Unit(" ".join(normalized), dim, scale)
+            unit, p, q, factor, text = self._tokens.get(token) or self._token(token)
+            numerators, denominator = _combined(numerators, denominator, unit.dimension, p, q)
+            scale *= factor
+            normalized.append(text)
+        return Unit(" ".join(normalized), _dimension(numerators, denominator), scale)
+
+    def _token(self, token: str) -> tuple[Unit, int, int, float, str]:
+        """``(unit, p, q, unit.scale ** (p/q), normalized text)`` of a token
+        ``symbol^p/q``, kept in the token table while it has room."""
+        symbol, caret, exp_text = token.partition("^")
+        unit = self.symbol(symbol)
+        p, q = _parse_rational(exp_text) if caret else (1, 1)
+        try:
+            factor = unit.scale ** (p / q)
+        except OverflowError:  # Unit rejects it, as it rejects a 0 scale
+            factor = math.inf
+        entry = unit, p, q, factor, symbol if p == q else f"{symbol}^{_fraction_text(p, q)}"
+        if len(self._tokens) < _TOKEN_TABLE_SIZE:
+            self._tokens[token] = entry
+        return entry
 
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")

@@ -1,9 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalelab.algebra as algebra
@@ -298,6 +299,59 @@ def test_evaluate_identity_returns_the_binding():
     assert ScalingRelation.identity("x").evaluate({"x": q}) == q.in_si()
 
 
+def _evaluate_reference(relation, bindings, prefactor):
+    """The quantity fold ``evaluate`` replaced."""
+    try:
+        result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
+        for name, exp in relation.exponents.items():
+            result = bindings[name] ** exp * result
+    except DataError as exc:
+        raise DataError(f"evaluating {relation.render()!r}: {exc}") from None
+    return result
+
+
+def _evaluated(evaluate, relation, bindings, prefactor):
+    """The magnitude's bits and the unit, or the error's type and message."""
+    try:
+        result = evaluate(relation, bindings, prefactor)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return result.magnitude.hex(), result.unit
+
+
+_EVAL_MAGNITUDES = st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e-300, 1e-200, 1e-100, 0.5,
+                                    1.0, -1.0, 3.7, -3.7, 1e100, 1e200, 1e300, 1e308, -1e308])
+_eval_quantities = st.builds(
+    lambda magnitude, unit: Quantity(magnitude, REG.resolve(unit)),
+    _EVAL_MAGNITUDES,
+    st.sampled_from(["kg", "g", "m", "ft", "s", "hr", "yr", "J", "W", "mph", "kg m^-3",
+                     "m^1/2", "s^-1/3"]),
+)
+_eval_exponents = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.builds(F, st.integers(-(2**30), 2**30), st.sampled_from([1, 2, 3])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_eval_exponents, _eval_quantities), max_size=4),
+    st.one_of(_EVAL_MAGNITUDES, _eval_quantities),
+)
+@example([(F(2**30), parse_quantity("1 m"))] * 2, 1.0)  # the product's dimension
+@example([(F(2**30), parse_quantity("1 kg m^-3"))], 1.0)  # the power's dimension
+@example([(F(1), parse_quantity("1e-200 m"))] * 2, 1.0)
+@example([(F(1, 2), parse_quantity("-4 m"))], 1.0)
+@example([(F(-1), parse_quantity("0 m"))], parse_quantity("2 ft"))
+@example([(F(1), parse_quantity("1e200 m")), (F(-1), parse_quantity("1e-150 s"))], 1e10)
+def test_evaluate_matches_the_quantity_fold(terms, prefactor):
+    relation = ScalingRelation("y", {f"q{i}": exp for i, (exp, _) in enumerate(terms)})
+    bindings = {f"q{i}": q for i, (_, q) in enumerate(terms)}
+    assert _evaluated(ScalingRelation.evaluate, relation, bindings, prefactor) == _evaluated(
+        _evaluate_reference, relation, bindings, prefactor
+    )
+
+
 # ---------------------------------------------------------------------------
 # check_exponent_bound
 
@@ -369,6 +423,62 @@ def test_chain_is_associative(a, b, c):
     left = chain(chain(xy, yz), zw)
     right = chain(xy, chain(yz, zw))
     assert left.target == right.target and left.exponents == right.exponents
+
+
+# ---------------------------------------------------------------------------
+# unit covariance: an answer does not depend on the units its inputs are in
+
+_UNITS_PER_BASE = (("kg", "g"), ("m", "ft"), ("s", "min", "hr", "yr"))
+_half_integers = st.sampled_from([F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)])
+_mlt_dimensions = st.builds(
+    Dimension, mass=_half_integers, length=_half_integers, time=_half_integers
+)
+
+
+def _in_units(quantity, system):
+    """``quantity`` in the product of ``system``'s mass, length and time
+    units that has its dimension (``g^1/2 ft hr^-2`` ...), its magnitude
+    worked out here from the registry's scales."""
+    exponents = quantity.dimension.as_tuple()[:3]
+    powers = [(symbol, e) for symbol, e in zip(system, exponents) if e]
+    if not powers:
+        return quantity
+    scale = math.prod(REG.symbol(symbol).scale ** float(e) for symbol, e in powers)
+    unit = REG.resolve(" ".join(f"{symbol}^{e}" for symbol, e in powers))
+    return Quantity(quantity.si_value / scale, unit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _mlt_dimensions,
+            st.floats(0.1, 10.0),
+            st.tuples(*(st.sampled_from(symbols) for symbols in _UNITS_PER_BASE)),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+)
+def test_derived_relations_and_pi_groups_are_unit_covariant(params, weights):
+    si = {f"q{i}": Quantity(m, coherent_unit(dim)) for i, (dim, m, _) in enumerate(params)}
+    other = {name: _in_units(si[name], system) for name, (_, _, system) in zip(si, params)}
+    quantities = [(name, q.dimension) for name, q in si.items()]
+    relations = [
+        ScalingRelation("pi", dict(zip(group.names, group.exponents)))
+        for group in pi_basis(quantities)
+    ]
+    target = Dimension()
+    for (_, dim), weight in zip(quantities, weights):
+        target = target.combine(dim, weight)
+    try:
+        relations.append(solve_target_exponents(target, quantities))
+    except UnderdeterminedError:
+        pass
+    for relation in relations:
+        expected = relation.evaluate(si).si_value
+        assert relation.evaluate(other).si_value == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

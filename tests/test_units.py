@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalelab.errors import (
@@ -26,6 +26,9 @@ from scalelab.units import (
     Quantity,
     Unit,
     UnitRegistry,
+    _TOKEN_TABLE_SIZE,
+    _fraction_text,
+    _parse_rational,
     convert,
     default_registry,
     log_ratio,
@@ -244,6 +247,93 @@ def test_default_registry_is_read_only():
 
 def test_single_symbol_resolves_to_registered_unit():
     assert REG.resolve("knot") is REG.symbol("knot")
+
+
+# ---------------------------------------------------------------------------
+# resolve against the token-by-token fold
+
+
+def _resolve_reference(registry: UnitRegistry, expression: str) -> Unit:
+    """The fold ``resolve`` replaced: ``Dimension.combine`` per token, and
+    each ``scale ** (p/q)`` multiplied in left to right."""
+    tokens = expression.split()
+    if not tokens:
+        raise QuantityParseError("empty unit expression")
+    if len(tokens) == 1 and tokens[0] in registry:
+        return registry.symbol(tokens[0])
+    dim, scale, normalized = DIMENSIONLESS, 1.0, []
+    for token in tokens:
+        symbol, caret, exp_text = token.partition("^")
+        unit = registry.symbol(symbol)
+        p, q = _parse_rational(exp_text) if caret else (1, 1)
+        dim = dim.combine(unit.dimension, Fraction(p, q))
+        try:
+            scale *= unit.scale ** (p / q)
+        except OverflowError:
+            scale = math.inf
+        normalized.append(symbol if p == q else f"{symbol}^{_fraction_text(p, q)}")
+    return Unit(" ".join(normalized), dim, scale)
+
+
+def _resolved(resolve, registry, expression):
+    """Symbol, dimension and the scale's bits, or the error's type and message."""
+    try:
+        unit = resolve(registry, expression)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return unit.symbol, unit.dimension, unit.scale.hex()
+
+
+_RESOLVE_EXPONENTS = ("", "^-1", "^2", "^1/2", "^-2/3", "^2/4", "^+2", "^01", "^100",
+                      "^-100", "^1/3", "^715827883", "^-715827883", "^2147483647",
+                      "^2147483648", "^1/2147483648", "^x", "^1/0", "^", "^1.5")
+_resolve_tokens = st.builds(
+    lambda symbol, exp: symbol + exp,
+    st.sampled_from(sorted(u.symbol for u in REG) + ["xyz", "M", ""]),
+    st.one_of(st.sampled_from(_RESOLVE_EXPONENTS), st.integers(-400, 400).map("^{}".format)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_resolve_tokens, min_size=1, max_size=4).map(" ".join))
+@example("s^2 W^715827883")  # each partial sum is in range
+@example("W^715827883 s^2")  # the first partial sum's time exponent is not
+@example("m^2147483647 m^-2147483647 m^2147483647")
+@example("   ")
+def test_resolve_matches_the_token_fold(expression):
+    for _ in range(2):  # the second resolve reads the token table
+        assert _resolved(UnitRegistry.resolve, REG, expression) == _resolved(
+            _resolve_reference, REG, expression
+        )
+
+
+def test_resolve_depends_on_token_order():
+    # The bound applies to every partial sum, not only to the result.
+    assert REG.resolve("s^2 W^715827883").dimension.time == -(2**31 - 1)
+    with pytest.raises(CapacityError, match="^rational exponent -2147483649 exceeds"):
+        REG.resolve("W^715827883 s^2")
+
+
+def test_resolve_does_not_remember_a_failed_token():
+    own = UnitRegistry()
+    own.register("s", TIME, 1.0)
+    with pytest.raises(UnknownUnitError):
+        own.resolve("s^-1 furlong^2")
+    own.register("furlong", LENGTH, 201.168)
+    assert own.resolve("s^-1 furlong^2").scale == 201.168**2
+
+
+def test_resolve_past_the_token_table_cap():
+    own = UnitRegistry()
+    own.register("m", LENGTH, 1.0)
+    own.register("ft", LENGTH, 0.3048)
+    half = _TOKEN_TABLE_SIZE // 2
+    expressions = [f"ft^{k} m" for k in range(-half, half + 50)]
+    for expression in expressions + expressions[::7]:
+        assert _resolved(UnitRegistry.resolve, own, expression) == _resolved(
+            _resolve_reference, own, expression
+        )
+    assert len(own._tokens) == _TOKEN_TABLE_SIZE
 
 
 # ---------------------------------------------------------------------------
