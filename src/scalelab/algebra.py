@@ -10,24 +10,36 @@ denominator for the whole matrix; back-substitution keeps its solution as
 integers over one common denominator, and the substitution check is one
 integer matrix-vector product.
 
-Both derivations run the same path: echelon the dimension matrix, then
-back-substitute with the free columns fixed.  A target dimension ``t`` is
-one more column of the augmented matrix ``[A | t]``: if ``t`` becomes a
-pivot the target is impossible; if fewer than ``n`` pivots fall in ``A``
-there are ``n - rank`` free directions; otherwise fixing the target's
-exponent at -1 leaves the unique exponents ``x`` of ``A x = t``.
+Both derivations read one elimination of the parameter matrix ``A``,
+kept per matrix in a small cache, so solving for a target and computing
+the groups of the same parameters eliminate ``A`` once.  The elimination
+records each pivot step (row swap, pivot, previous pivot, multipliers);
+a target column ``t`` is reduced through those steps, the integer
+arithmetic Bareiss applies to the last column of ``[A | t]``.  If the
+reduced ``t`` is nonzero below the rank the target is impossible; if the
+rank is below ``n`` there are ``n - rank`` free directions; otherwise
+fixing the target's exponent at -1 and back-substituting leaves the
+unique exponents ``x`` of ``A x = t``.  Groups back-substitute with one
+free column at a time fixed at 1.  Only the elimination is cached: every
+answer is built and checked by substitution on each call.
 
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values; the caches
+(elimination per matrix, evaluation plan per relation shape) are bounded,
+keyed by value, hold immutable results and are safe to share across
+threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from numbers import Real
 from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (
+    CapacityError,
     DataError,
     DerivationError,
     InconsistentDimensionsError,
@@ -100,28 +112,62 @@ class ScalingRelation(_Value):
     def evaluate(self, bindings: Mapping[str, Quantity], prefactor=1.0) -> Quantity:
         """``prefactor`` times each bound quantity raised to its exponent.
 
-        The prefactor is a number or a quantity; the result's dimension is
-        the prefactor's plus the exponent-weighted sum of the bound
-        dimensions.  The answer is the quantity fold
+        The prefactor is a real number or a quantity, and each binding a
+        quantity; anything else raises :class:`RelationError`.  The
+        result's dimension is the prefactor's plus the exponent-weighted sum
+        of the bound dimensions.  The answer is the quantity fold
         ``result = bindings[name] ** exp * result``, from
         ``result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor``,
         bit for bit and with the same errors, but the fold runs on each
-        term's SI magnitude and dimension, so one quantity is built at the
-        end; the operands of a ``*`` are built only to name them in its
-        error.  A :class:`DataError` from the arithmetic is raised again
-        naming the relation.
+        term's SI magnitude, so one quantity is built at the end; the
+        operands of a ``*`` are built only to name them in its error.  A
+        :class:`DataError` from the arithmetic is raised again naming the
+        relation.
+
+        The dimension side of a call depends only on its shape: the
+        exponents in term order, the bound dimensions and the prefactor's
+        dimension.  It is worked out once per shape and kept in a bounded
+        cache keyed by those values, so exponents changed in place are
+        seen.  A shape whose dimension fold exceeds the exponent bound has
+        no plan: its loop folds the dimensions in place and raises the
+        :class:`~scalelab.errors.CapacityError` at the term the quantity
+        fold raises it.
         """
-        unbound = [name for name in self.exponents if name not in bindings]
+        exponents = self.exponents
+        unbound = [name for name in exponents if name not in bindings]
         if unbound:
             raise RelationError(
                 f"cannot evaluate {self.render()!r}: no value for {', '.join(unbound)}"
             )
+        if not isinstance(prefactor, (Real, Quantity)):
+            raise RelationError(
+                f"cannot evaluate {self.render()!r}: the prefactor must be a real "
+                f"number or a Quantity, not {type(prefactor).__name__}"
+            )
+        for name in exponents:
+            if not isinstance(bindings[name], Quantity):
+                raise RelationError(
+                    f"cannot evaluate {self.render()!r}: {name!r} is bound to a "
+                    f"{type(bindings[name]).__name__}, not a Quantity"
+                )
         try:
             result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
-            magnitude, dimension = result.magnitude, result.dimension
-            for name, exp in self.exponents.items():
-                term, term_dimension = bindings[name]._power(exp)
-                product_dimension = term_dimension * dimension
+            magnitude, dimension = result.magnitude, result.unit.dimension
+            plan = _evaluation_plan(tuple([
+                (exp.numerator, exp.denominator, bindings[name].unit.dimension)
+                for name, exp in exponents.items()
+            ]), dimension)
+            steps = plan[1] if plan else (None,) * len(exponents)
+            for (name, exp), step in zip(exponents.items(), steps):
+                quantity = bindings[name]
+                quantity._check_base(exp)
+                if step is None:
+                    term_dimension = quantity.unit.dimension ** exp
+                    term = quantity._raised(exp, float(exp))
+                    product_dimension = term_dimension * dimension
+                else:
+                    power, term_dimension, product_dimension = step
+                    term = quantity._raised(exp, power)
                 product = term * magnitude
                 if not math.isfinite(product) or product == 0 and term and magnitude:
                     _in_range(mul, term, magnitude, Quantity(term, coherent_unit(term_dimension)),
@@ -129,10 +175,34 @@ class ScalingRelation(_Value):
                 magnitude, dimension = product, product_dimension
         except DataError as exc:
             raise DataError(f"evaluating {self.render()!r}: {exc}") from None
-        return Quantity(magnitude, coherent_unit(dimension))
+        return Quantity(magnitude, plan[0])  # without a plan, the loop has raised
 
     def __str__(self) -> str:
         return self.render()
+
+
+@functools.lru_cache(maxsize=256)
+def _evaluation_plan(terms: tuple[tuple[int, int, Dimension], ...], dimension: Dimension):
+    """The dimension side of :meth:`ScalingRelation.evaluate` for one shape.
+
+    ``terms`` holds each term's exponent, as its numerator and denominator,
+    and its bound dimension, in term order; ``dimension`` is the
+    prefactor's.  Folds ``dimension`` with each term's dimension raised to
+    its exponent, as the quantity fold does, and returns the result's
+    coherent unit and, per term, ``(float(exponent), term dimension,
+    product dimension)``.  Returns None when the fold exceeds the exponent
+    bound, so a failing shape is kept too.
+    """
+    steps = []
+    try:
+        for p, q, base in terms:
+            exp = Fraction(p, q)
+            term_dimension = base ** exp
+            dimension = term_dimension * dimension
+            steps.append((float(exp), term_dimension, dimension))
+    except CapacityError:
+        return None
+    return coherent_unit(dimension), tuple(steps)
 
 
 class PiGroup(_Value):
@@ -189,64 +259,73 @@ class DimMatrix:
             tuple(Fraction(n, den) for n in nums) for nums, den in self._exponents
         )
 
-    def rows(self, extra: Dimension | None = None) -> tuple[list[tuple[int, ...]], int]:
-        """Integer rows (base dimension by quantity), optionally augmented
-        with ``extra``, and the common denominator ``d`` of their entries.
-
-        Row ``r`` holds ``d`` times each column's exponent of base dimension
-        ``r``; one factor for the whole matrix leaves its row space and null
-        space as they are.
-        """
-        columns = self._exponents
-        if extra is not None:
-            columns += ((extra.numerators, extra.denominator),)
-        common = math.lcm(*(den for _, den in columns))
-        scaled = [
-            nums if den == common else [n * (common // den) for n in nums]
-            for nums, den in columns
-        ]
-        return list(zip(*scaled)), common
-
     def rank(self) -> int:
-        _, pivots = _fraction_free_echelon(self.rows()[0])
+        _, _, _, pivots, _ = _elimination(self._exponents)
         return len(pivots)
 
 
-def _fraction_free_echelon(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free row echelon of a copy of the integer rows.
+@functools.lru_cache(maxsize=64)
+def _elimination(columns: tuple[tuple[tuple[int, ...], int], ...]):
+    """Bareiss fraction-free elimination of one parameter matrix.
 
-    Pivot columns are chosen left to right over every column.  For an
-    augmented ``[A | t]`` the last column is a pivot exactly when ``t`` is
-    outside the span of ``A``'s columns, and the pivots left of it give the
-    rank of ``A``.  Returns the echelon matrix and the pivot column indices.
+    ``columns`` holds each quantity's ``(numerators, denominator)``.  Row
+    ``r`` of the integer matrix holds ``d`` times each column's exponent of
+    base dimension ``r``, ``d`` the lcm of the denominators; one factor for
+    the whole matrix leaves its row space and null space as they are.
+    Pivot columns are chosen left to right.
+
+    Returns ``(rows, d, echelon, pivots, steps)``: the scaled rows, ``d``,
+    the echelon rows, the pivot column indices, and per pivot the step
+    ``(swap, pivot, previous pivot, multipliers)`` that
+    :func:`_reduce_column` replays on another column.  Every part is an
+    immutable tuple.
     """
+    common = math.lcm(*[den for _, den in columns])
+    rows = tuple(zip(*[
+        nums if den == common else [n * (common // den) for n in nums]
+        for nums, den in columns
+    ]))
     matrix = [list(row) for row in rows]
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
-    pivots: list[int] = []
+    n_rows, n_cols = len(matrix), len(columns)
+    pivots, steps = [], []
     prev = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if matrix[i][c] != 0), None)
-        if pivot_row is None:
+        for swap in range(r, n_rows):
+            if matrix[swap][c]:
+                break
+        else:
             continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        for i in range(r + 1, n_rows):
+        matrix[r], matrix[swap] = matrix[swap], matrix[r]
+        top = matrix[r]
+        pivot = top[c]
+        multipliers = []
+        for row in matrix[r + 1:]:
+            m = row[c]
+            multipliers.append(m)
             for j in range(c + 1, n_cols):
-                matrix[i][j] = (
-                    matrix[r][c] * matrix[i][j] - matrix[i][c] * matrix[r][j]
-                ) // prev
-            matrix[i][c] = 0
-        prev = matrix[r][c]
+                row[j] = (pivot * row[j] - m * top[j]) // prev
+            row[c] = 0
+        steps.append((swap, pivot, prev, tuple(multipliers)))
+        prev = pivot
         pivots.append(c)
         r += 1
-    return matrix, pivots
+    return rows, common, tuple(map(tuple, matrix)), tuple(pivots), tuple(steps)
+
+
+def _reduce_column(steps, column: list[int]) -> list[int]:
+    """``column`` (modified in place) taken through the recorded pivot
+    steps, as Bareiss reduces the last column of ``[A | column]``."""
+    for r, (swap, pivot, prev, multipliers) in enumerate(steps):
+        column[r], column[swap] = column[swap], column[r]
+        top = column[r]
+        for i, m in enumerate(multipliers, r + 1):
+            column[i] = (pivot * column[i] - m * top) // prev
+    return column
 
 
 def _back_substitute(
-    echelon: list[list[int]], pivots: list[int], free_values: Mapping[int, int]
+    echelon: Sequence[Sequence[int]], pivots: Sequence[int], free_values: Mapping[int, int]
 ) -> tuple[list[int], int]:
     """Solve for the pivot variables given integer values of the free ones.
 
@@ -261,7 +340,9 @@ def _back_substitute(
     for row_index in range(len(pivots) - 1, -1, -1):
         pivot_col = pivots[row_index]
         row = echelon[row_index]
-        acc = sum(row[j] * solution[j] for j in range(pivot_col + 1, n_cols))
+        # Left of its pivot the row is 0, and the pivot's own entry of the
+        # solution is still 0: the dot product is the sum right of the pivot.
+        acc = sum(map(mul, row, solution))
         # pivot * x = -acc / denominator: scale every entry by pivot / g.
         g = math.gcd(row[pivot_col], acc)
         scale, value = row[pivot_col] // g, -acc // g
@@ -276,7 +357,7 @@ def _back_substitute(
 
 def _product(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> list[int]:
     """``rows`` times ``vector``, over the vector's length of each row."""
-    return [sum(a * b for a, b in zip(row, vector)) for row in rows]
+    return [sum(map(mul, row, vector)) for row in rows]
 
 
 def solve_target_exponents(
@@ -297,22 +378,31 @@ def solve_target_exponents(
         raise RelationError("at least one parameter is required")
     matrix = DimMatrix(params)
     n = matrix.n_quantities
-    rows, common = matrix.rows(extra=target)
-    echelon, pivots = _fraction_free_echelon(rows)
-    if n in pivots:
+    rows, common, echelon, pivots, steps = _elimination(matrix._exponents)
+    # rows is common * A.  With c = scale * common the lcm of common and
+    # the target's denominator, c * t is integral, and rows y = c * t is
+    # solved by y = scale * x.
+    scale = math.lcm(common, target.denominator) // common
+    factor = common * scale // target.denominator
+    column = [v * factor for v in target.numerators]
+    reduced = _reduce_column(steps, list(column))
+    if any(reduced[len(pivots):]):
         raise InconsistentDimensionsError(
             f"target [{target}] is dimensionally impossible from "
             f"{', '.join(matrix.names)}"
         )
     if len(pivots) < n:
         raise UnderdeterminedError(n - len(pivots))
-    solution, denominator = _back_substitute(echelon, pivots, {n: -1})
+    augmented = [row + (value,) for row, value in zip(echelon, reduced)]
+    solution, denominator = _back_substitute(augmented, pivots, {n: -1})
     total = _product(rows, solution[:n])
-    if total != [denominator * row[n] for row in rows]:
+    if total != [denominator * v for v in column]:
         raise DerivationError(
             f"internal check failed: substitution gives "
-            f"[{_dimension(*_reduced(tuple(total), common * denominator))}], expected [{target}]"
+            f"[{_dimension(*_reduced(tuple(total), common * scale * denominator))}], "
+            f"expected [{target}]"
         )
+    denominator *= scale
     return ScalingRelation(
         target_name,
         {name: Fraction(v, denominator) for name, v in zip(matrix.names, solution)},
@@ -337,11 +427,9 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
     if not quantities:
         raise RelationError("at least one quantity is required")
     matrix = DimMatrix(quantities)
-    n = matrix.n_quantities
-    rows, common = matrix.rows()
-    echelon, pivots = _fraction_free_echelon(rows)
+    rows, common, echelon, pivots, _ = _elimination(matrix._exponents)
     basis = []
-    for free in (c for c in range(n) if c not in pivots):
+    for free in (c for c in range(matrix.n_quantities) if c not in pivots):
         solution, _ = _back_substitute(echelon, pivots, {free: 1})
         group = PiGroup(matrix.names, _normalize_group(solution))
         total = _product(rows, group.exponents)

@@ -448,18 +448,22 @@ class Quantity(_Value):
         return self._apply(truediv, "/", other)
 
     def __pow__(self, exponent) -> Quantity:
-        magnitude, dim = self._power(_as_exponent(exponent))
-        return Quantity(magnitude, coherent_unit(dim))
+        k = _as_exponent(exponent)
+        self._check_base(k)
+        dim = self.dimension ** k
+        return Quantity(self._raised(k, float(k)), coherent_unit(dim))
 
-    def _power(self, k: Fraction) -> tuple[float, Dimension]:
-        """The SI magnitude and the dimension of ``self ** k``, checked as
-        ``**`` checks them."""
+    def _check_base(self, k: Fraction) -> None:
+        """The DataError of ``self ** k`` for a negative base and a fractional ``k``."""
         if self.si_value < 0 and k.denominator != 1:
             raise DataError(
                 f"cannot raise negative quantity {self} to fractional power {k}"
             )
-        dim = self.dimension ** k
-        return _in_range(pow, self._checked_si(), float(k), self, "to the power", k), dim
+
+    def _raised(self, k: Fraction, power: float) -> float:
+        """The SI magnitude of ``self ** k``, ``power`` being ``float(k)``,
+        checked as ``**`` checks it."""
+        return _in_range(pow, self._checked_si(), power, self, "to the power", k)
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit.symbol}"
@@ -515,20 +519,26 @@ class UnitRegistry:
         if len(tokens) == 1 and tokens[0] in self._units:
             return self._units[tokens[0]]
         # The exponents accumulate as integers over one denominator, bounded
-        # after each token, so a partial sum past the bound raises.
+        # after each token, so a partial sum past the bound raises.  While
+        # that denominator is 1, an integral token adds its integer vector.
         numerators, denominator = DIMENSIONLESS.numerators, 1
         scale = 1.0
         normalized = []
         for token in tokens:
-            unit, p, q, factor, text = self._tokens.get(token) or self._token(token)
-            numerators, denominator = _combined(numerators, denominator, unit.dimension, p, q)
+            unit, p, q, factor, text, vector = self._tokens.get(token) or self._token(token)
+            if vector and denominator == 1:
+                numerators, denominator = _reduced(tuple(map(add, numerators, vector)), 1)
+            else:
+                numerators, denominator = _combined(numerators, denominator, unit.dimension, p, q)
             scale *= factor
             normalized.append(text)
         return Unit(" ".join(normalized), _dimension(numerators, denominator), scale)
 
-    def _token(self, token: str) -> tuple[Unit, int, int, float, str]:
-        """``(unit, p, q, unit.scale ** (p/q), normalized text)`` of a token
-        ``symbol^p/q``, kept in the token table while it has room."""
+    def _token(self, token: str) -> tuple[Unit, int, int, float, str, tuple | None]:
+        """``(unit, p, q, unit.scale ** (p/q), normalized text, vector)`` of a
+        token ``symbol^p/q``, kept in the token table while it has room.
+        ``vector`` is the integer exponent vector ``p * unit.dimension`` of
+        an integral token (``q`` and the unit's denominator 1), else None."""
         symbol, caret, exp_text = token.partition("^")
         unit = self.symbol(symbol)
         p, q = _parse_rational(exp_text) if caret else (1, 1)
@@ -536,7 +546,11 @@ class UnitRegistry:
             factor = unit.scale ** (p / q)
         except OverflowError:  # Unit rejects it, as it rejects a 0 scale
             factor = math.inf
-        entry = unit, p, q, factor, symbol if p == q else f"{symbol}^{_fraction_text(p, q)}"
+        vector = None
+        if q == 1 and unit.dimension.denominator == 1:
+            vector = tuple([p * n for n in unit.dimension.numerators])
+        text = symbol if p == q else f"{symbol}^{_fraction_text(p, q)}"
+        entry = unit, p, q, factor, text, vector
         if len(self._tokens) < _TOKEN_TABLE_SIZE:
             self._tokens[token] = entry
         return entry

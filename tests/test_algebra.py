@@ -347,9 +347,52 @@ _eval_exponents = st.one_of(
 def test_evaluate_matches_the_quantity_fold(terms, prefactor):
     relation = ScalingRelation("y", {f"q{i}": exp for i, (exp, _) in enumerate(terms)})
     bindings = {f"q{i}": q for i, (_, q) in enumerate(terms)}
-    assert _evaluated(ScalingRelation.evaluate, relation, bindings, prefactor) == _evaluated(
-        _evaluate_reference, relation, bindings, prefactor
-    )
+    expected = _evaluated(_evaluate_reference, relation, bindings, prefactor)
+    algebra._evaluation_plan.cache_clear()
+    for _ in range(2):  # the first call makes the shape's plan, the second reads it
+        assert _evaluated(ScalingRelation.evaluate, relation, bindings, prefactor) == expected
+
+
+def test_evaluate_sees_exponents_changed_in_place():
+    relation = ScalingRelation("y", {"a": F(1, 2), "b": F(-1)})
+    bindings = {"a": parse_quantity("4 m"), "b": parse_quantity("2 s^2")}
+    assert relation.evaluate(bindings).unit.symbol == "m^1/2 s^-2"
+    changes = [
+        {"a": F(3)},  # a new exponent value
+        {"b": F(2**30)},  # a dimension past the exponent bound
+        {"a": F(1, 3), "b": F(1, 2)},
+    ]
+    for change in changes:
+        relation.exponents.update(change)
+        for _ in range(2):
+            assert _evaluated(ScalingRelation.evaluate, relation, bindings, 2.0) == _evaluated(
+                _evaluate_reference, relation, bindings, 2.0
+            )
+    del relation.exponents["b"]
+    assert relation.evaluate(bindings).unit.symbol == "m^1/3"
+
+
+@pytest.mark.parametrize(
+    "bindings,prefactor,message",
+    [
+        ({"a": 2.0}, 1.0, "'a' is bound to a float, not a Quantity"),
+        ({"a": "2 m"}, 1.0, "'a' is bound to a str, not a Quantity"),
+        ({"a": parse_quantity("2 m")}, "x", "the prefactor must be a real number or a Quantity, not str"),
+        ({"a": parse_quantity("2 m")}, None, "the prefactor must be a real number or a Quantity, not NoneType"),
+    ],
+    ids=["float-binding", "str-binding", "str-prefactor", "none-prefactor"],
+)
+def test_evaluate_rejects_a_bad_argument(bindings, prefactor, message):
+    relation = ScalingRelation("y", {"a": 1})
+    with pytest.raises(RelationError, match=f"^cannot evaluate 'y ~ a': {message}$"):
+        relation.evaluate(bindings, prefactor)
+
+
+def test_evaluate_takes_any_real_prefactor():
+    relation = ScalingRelation("y", {"a": 1})
+    bindings = {"a": parse_quantity("2 m")}
+    for prefactor in (3, F(3), np.float64(3.0), True):
+        assert relation.evaluate(bindings, prefactor).si_value == 2.0 * float(prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +522,166 @@ def test_derived_relations_and_pi_groups_are_unit_covariant(params, weights):
     for relation in relations:
         expected = relation.evaluate(si).si_value
         assert relation.evaluate(other).si_value == pytest.approx(expected, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# independent exact oracle: Fraction Gauss-Jordan with a null space
+#
+# Shares nothing with the algebra module: the inputs are read through
+# Dimension.as_tuple(), and every step is plain Fraction arithmetic.
+
+
+def _rref(columns):
+    """Reduced row echelon form of the matrix with these columns, and its
+    pivot columns."""
+    rows = [list(row) for row in zip(*columns)]
+    pivots = []
+    for c in range(len(columns)):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _oracle_solve(columns, target):
+    """("impossible", None), ("underdetermined", surplus) or ("ok", x)."""
+    n = len(columns)
+    rows, pivots = _rref(list(columns) + [target])
+    if n in pivots:
+        return "impossible", None
+    if len(pivots) < n:
+        return "underdetermined", n - len(pivots)
+    return "ok", [rows[i][n] for i in range(n)]
+
+
+def _oracle_null_space(columns):
+    rows, pivots = _rref(columns)
+    basis = []
+    for free in (c for c in range(len(columns)) if c not in pivots):
+        vector = [F(0)] * len(columns)
+        vector[free] = F(1)
+        for row, pivot in zip(rows, pivots):
+            vector[pivot] = -row[free]
+        basis.append(vector)
+    return basis
+
+
+def _combination(columns, weights):
+    return [sum((F(w) * col[k] for col, w in zip(columns, weights)), F(0)) for k in range(5)]
+
+
+_oracle_exponents = st.sampled_from(
+    [F(0)] * 6 + [F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-1, 2), F(3, 2), F(-1, 3), F(2, 5)]
+)
+_oracle_dimensions = st.lists(_oracle_exponents, min_size=5, max_size=5).map(lambda v: Dimension(*v))
+
+
+@st.composite
+def _oracle_problems(draw):
+    """1-8 quantities, some zero, some repeating an earlier column, and two
+    targets, each a random dimension or a combination of the columns."""
+    dims = []
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new"] * 4 + ["zero", "repeat"]))
+        if kind == "zero":
+            dims.append(DIMENSIONLESS)
+        elif kind == "repeat" and dims:
+            dims.append(draw(st.sampled_from(dims)))
+        else:
+            dims.append(draw(_oracle_dimensions))
+    columns = [d.as_tuple() for d in dims]
+    targets = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            targets.append(draw(_oracle_dimensions))
+        else:
+            weights = draw(st.lists(_oracle_exponents, min_size=len(dims), max_size=len(dims)))
+            targets.append(Dimension(*_combination(columns, weights)))
+    return [(f"q{i}", d) for i, d in enumerate(dims)], targets
+
+
+def _solved(target, params):
+    """The relation's exponents, or the error's type, message and surplus."""
+    try:
+        relation = solve_target_exponents(target, params, "y")
+    except UnderdeterminedError as exc:
+        return UnderdeterminedError, str(exc), exc.free_directions
+    except InconsistentDimensionsError as exc:
+        return InconsistentDimensionsError, str(exc), None
+    return dict(relation.exponents)
+
+
+def _check_against_oracle(params, target, solved):
+    columns = [d.as_tuple() for _, d in params]
+    outcome, detail = _oracle_solve(columns, list(target.as_tuple()))
+    if outcome == "ok":
+        assert isinstance(solved, dict)
+        exponents = [solved.get(name, F(0)) for name, _ in params]
+        assert exponents == detail
+        assert _combination(columns, exponents) == list(target.as_tuple())
+    elif outcome == "impossible":
+        assert type(solved) is tuple and solved[0] is InconsistentDimensionsError
+    else:
+        assert type(solved) is tuple and solved[0] is UnderdeterminedError
+        assert solved[2] == detail
+
+
+def _check_groups_against_oracle(params, groups):
+    columns = [d.as_tuple() for _, d in params]
+    null_space = _oracle_null_space(columns)
+    assert len(groups) == len(null_space)  # n - rank
+    for group in groups:
+        assert group.names == tuple(name for name, _ in params)
+        assert _combination(columns, group.exponents) == [0] * 5  # exactly dimensionless
+        nonzero = [e for e in group.exponents if e != 0]
+        assert all(isinstance(e, int) for e in group.exponents)
+        assert math.gcd(*nonzero) == 1 and nonzero[0] > 0  # normalized
+    if groups:
+        _, pivots = _rref([[F(e) for e in g.exponents] for g in groups])
+        assert len(pivots) == len(groups)  # independent
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_problems())
+def test_derivations_agree_with_an_independent_oracle(problem):
+    params, (target, other) = problem
+    algebra._elimination.cache_clear()
+    solved = _solved(target, params)  # solve, then pi over the same matrix
+    groups = pi_basis(params)
+    _check_against_oracle(params, target, solved)
+    _check_groups_against_oracle(params, groups)
+    assert DimMatrix(params).rank() == len(params) - len(groups)
+
+    algebra._elimination.cache_clear()
+    assert pi_basis(params) == groups  # pi, then solve
+    assert _solved(target, params) == solved
+
+    algebra._elimination.cache_clear()
+    _check_against_oracle(params, other, _solved(other, params))  # two targets, one matrix
+    assert _solved(target, params) == solved
+
+
+@pytest.mark.parametrize(
+    "columns,target,expected",
+    [
+        ([(1, 0, 0, 0, 0), (1, 0, 0, 0, 0)], (1, 0, 0, 0, 0), ("underdetermined", 1)),
+        ([(0, 1, 0, 0, 0)], (0, 0, 1, 0, 0), ("impossible", None)),
+        ([(1, 2, -2, 0, 0), (1, -3, 0, 0, 0), (0, 0, 1, 0, 0)], (0, 1, 0, 0, 0),
+         ("ok", [F(1, 5), F(-1, 5), F(2, 5)])),
+        ([(0, 0, 0, 0, 0)], (0, 0, 0, 0, 0), ("underdetermined", 1)),
+    ],
+    ids=["repeated", "impossible", "blast", "zero"],
+)
+def test_the_oracle_itself(columns, target, expected):
+    columns = [[F(v) for v in col] for col in columns]
+    assert _oracle_solve(columns, [F(v) for v in target]) == expected
 
 
 # ---------------------------------------------------------------------------

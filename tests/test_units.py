@@ -299,12 +299,29 @@ _resolve_tokens = st.builds(
 @example("s^2 W^715827883")  # each partial sum is in range
 @example("W^715827883 s^2")  # the first partial sum's time exponent is not
 @example("m^2147483647 m^-2147483647 m^2147483647")
+@example("m^2147483647 m")  # integral tokens: the second partial sum is past the bound
+@example("m^1/2 kg m^-1/2")  # a fractional partial sum, then integral tokens
+@example("m^1/2 m^1/2 kg s^-2")  # back to an integral sum, then integral tokens
 @example("   ")
 def test_resolve_matches_the_token_fold(expression):
     for _ in range(2):  # the second resolve reads the token table
         assert _resolved(UnitRegistry.resolve, REG, expression) == _resolved(
             _resolve_reference, REG, expression
         )
+
+
+def test_resolve_with_a_unit_of_fractional_dimension():
+    # An integral token of such a unit is not an integer vector: it takes
+    # the rational path, and integral tokens after it do too.
+    own = UnitRegistry()
+    own.register("m", LENGTH, 1.0)
+    own.register("rtm", LENGTH ** Fraction(1, 2), 1.0)
+    for expression in ("rtm m", "m rtm", "rtm rtm m", "rtm^2 m^-1", "m^2147483647 rtm^2"):
+        for _ in range(2):
+            assert _resolved(UnitRegistry.resolve, own, expression) == _resolved(
+                _resolve_reference, own, expression
+            )
+    assert own.resolve("rtm rtm m").dimension == LENGTH ** 2
 
 
 def test_resolve_depends_on_token_order():
