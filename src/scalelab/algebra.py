@@ -52,8 +52,8 @@ from .units import (
     Quantity,
     _Value,
     _as_exponent,
+    _as_float,
     _dimension,
-    _in_range,
     _reduced,
     _render_monomial,
     coherent_unit,
@@ -118,20 +118,19 @@ class ScalingRelation(_Value):
         of the bound dimensions.  The answer is the quantity fold
         ``result = bindings[name] ** exp * result``, from
         ``result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor``,
-        bit for bit and with the same errors, but the fold runs on each
-        term's SI magnitude, so one quantity is built at the end; the
-        operands of a ``*`` are built only to name them in its error.  A
-        :class:`DataError` from the arithmetic is raised again naming the
-        relation.
+        bit for bit and with the same errors; a :class:`DataError` from it
+        is raised again naming the relation.
 
-        The dimension side of a call depends only on its shape: the
-        exponents in term order, the bound dimensions and the prefactor's
-        dimension.  It is worked out once per shape and kept in a bounded
-        cache keyed by those values, so exponents changed in place are
-        seen.  A shape whose dimension fold exceeds the exponent bound has
-        no plan: its loop folds the dimensions in place and raises the
-        :class:`~scalelab.errors.CapacityError` at the term the quantity
-        fold raises it.
+        Per call shape (the exponents in term order, the bound dimensions,
+        the prefactor's dimension) a bounded cache keyed by value keeps the
+        result's unit and each term's float exponent.  The magnitude is one
+        float fold over the SI values in the quantity fold's order.  It
+        leaves for the quantity fold itself on a base that is 0, not finite
+        or negative under a fractional exponent, on an overflow in ``**``,
+        on a final magnitude that is 0 or not finite, and for a shape past
+        the exponent bound (no plan).  With finite nonzero operands, an
+        overflow or underflow at any step leaves the product infinite, NaN
+        or 0, so the one check at the end stands for a check at each step.
         """
         exponents = self.exponents
         unbound = [name for name in exponents if name not in bindings]
@@ -151,31 +150,32 @@ class ScalingRelation(_Value):
                     f"{type(bindings[name]).__name__}, not a Quantity"
                 )
         try:
-            result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
-            magnitude, dimension = result.magnitude, result.unit.dimension
+            if isinstance(prefactor, Quantity):
+                magnitude, dimension = prefactor.si_value, prefactor.unit.dimension
+            else:
+                magnitude, dimension = _as_float(prefactor), DIMENSIONLESS
             plan = _evaluation_plan(tuple([
                 (exp.numerator, exp.denominator, bindings[name].unit.dimension)
                 for name, exp in exponents.items()
             ]), dimension)
-            steps = plan[1] if plan else (None,) * len(exponents)
-            for (name, exp), step in zip(exponents.items(), steps):
-                quantity = bindings[name]
-                quantity._check_base(exp)
-                if step is None:
-                    term_dimension = quantity.unit.dimension ** exp
-                    term = quantity._raised(exp, float(exp))
-                    product_dimension = term_dimension * dimension
-                else:
-                    power, term_dimension, product_dimension = step
-                    term = quantity._raised(exp, power)
-                product = term * magnitude
-                if not math.isfinite(product) or product == 0 and term and magnitude:
-                    _in_range(mul, term, magnitude, Quantity(term, coherent_unit(term_dimension)),
-                              "*", Quantity(magnitude, coherent_unit(dimension)))
-                magnitude, dimension = product, product_dimension
+            if plan:
+                try:
+                    for name, power in zip(exponents, plan[1]):
+                        base = bindings[name].si_value
+                        if not 0 < abs(base) < math.inf or base < 0 and not power.is_integer():
+                            break
+                        magnitude = base ** power * magnitude
+                    else:
+                        if 0 < abs(magnitude) < math.inf:
+                            return Quantity(magnitude, plan[0])
+                except OverflowError:
+                    pass
+            result = Quantity(1.0, coherent_unit(DIMENSIONLESS)) * prefactor
+            for name, exp in exponents.items():
+                result = bindings[name] ** exp * result
         except DataError as exc:
             raise DataError(f"evaluating {self.render()!r}: {exc}") from None
-        return Quantity(magnitude, plan[0])  # without a plan, the loop has raised
+        return result
 
     def __str__(self) -> str:
         return self.render()
@@ -189,20 +189,16 @@ def _evaluation_plan(terms: tuple[tuple[int, int, Dimension], ...], dimension: D
     and its bound dimension, in term order; ``dimension`` is the
     prefactor's.  Folds ``dimension`` with each term's dimension raised to
     its exponent, as the quantity fold does, and returns the result's
-    coherent unit and, per term, ``(float(exponent), term dimension,
-    product dimension)``.  Returns None when the fold exceeds the exponent
-    bound, so a failing shape is kept too.
+    coherent unit and each term's exponent as a float (``p / q`` is
+    ``float(Fraction(p, q))``, bit for bit).  Returns None when the fold
+    passes the exponent bound, so a failing shape is kept too.
     """
-    steps = []
     try:
         for p, q, base in terms:
-            exp = Fraction(p, q)
-            term_dimension = base ** exp
-            dimension = term_dimension * dimension
-            steps.append((float(exp), term_dimension, dimension))
+            dimension = base ** Fraction(p, q) * dimension
     except CapacityError:
         return None
-    return coherent_unit(dimension), tuple(steps)
+    return coherent_unit(dimension), tuple([p / q for p, q, _ in terms])
 
 
 class PiGroup(_Value):
@@ -410,9 +406,12 @@ def solve_target_exponents(
 
 
 def _normalize_group(vector: Sequence[int]) -> tuple[int, ...]:
-    g = math.gcd(*vector)
+    # No gcd to divide out: _back_substitute, from one free column at 1,
+    # returns a primitive vector.  Each step scales a primitive vector by
+    # pivot/g and sets one entry to -acc/g, coprime to that scale, so the
+    # result stays primitive.  PiGroup still rejects a vector that is not.
     sign = -1 if next(v for v in vector if v != 0) < 0 else 1
-    return tuple(sign * v // g for v in vector)
+    return tuple(sign * v for v in vector)
 
 
 def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:

@@ -20,6 +20,15 @@ ratio, so they share one: every term bound to 1 except ``m``, bound to
 reference's unit.  Hull speed evaluates its own relation with standard
 gravity and the prefactor ``1/sqrt(2 pi)``.
 
+Blast radius and yield are not rows, and ``predict blast`` keeps its own
+parser.  A row's inputs are required quantities, one per flag.  Blast
+takes a repeatable ``--obs`` whose value is a pair, ``RADIUS @ TIME``,
+an optional ``--rho`` with a default, and a ``--prefactor`` that is a
+plain number the user sets, not a case constant; and its flags choose
+between two reports.  Rows able to say that would need repeated pair
+inputs, defaults, number inputs and a choice of report, each for this
+one command: more code than the parser they would replace.
+
 Dimensionless prefactors are case-level constants, reported with each
 prediction and never stored in relations.  The blast constant defaults to
 1 and is configurable; gravity is standard gravity.

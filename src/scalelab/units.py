@@ -18,7 +18,10 @@ nonzero operands gives 0 ("underflows a float to 0"), when the result is
 infinite or NaN ("overflows a float"), or when the operation divides by
 zero ("divides by zero").  ``*``, ``/`` and ``**`` first take each
 quantity operand to SI units through the same guard, as :func:`convert`
-does, so an operand that leaves the range there is the one named.  An
+does, so an operand that leaves the range there is the one named.  A real
+that cannot become a float (an int or Fraction past the largest float, or
+a nonzero one that rounds to 0), given as a magnitude, a unit scale or an
+operand of ``*`` and ``/``, raises a DataError naming it.  An
 in-range result is the plain float expression, bit for bit, so no result
 silently becomes 0 or inf and no float exception escapes as a traceback.
 
@@ -56,6 +59,7 @@ import functools
 import math
 import re
 from fractions import Fraction
+from numbers import Real
 from operator import add, attrgetter, mul, sub, truediv
 
 from .errors import (
@@ -337,6 +341,7 @@ class Unit(_Value):
     def __init__(self, symbol: str, dimension: Dimension, scale: float):
         if not symbol:
             raise QuantityParseError("unit symbol must be non-empty")
+        scale = _as_float(scale)
         if not (scale > 0 and math.isfinite(scale)):
             raise DataError(f"unit {symbol!r} must have a positive finite scale")
         _set(self, "symbol", symbol)
@@ -355,6 +360,18 @@ def coherent_unit(dimension: Dimension) -> Unit:
         _SI_BASE_SYMBOLS, dimension.numerators, dimension.denominator
     )
     return Unit(symbol, dimension, 1.0)
+
+
+def _as_float(value) -> float:
+    """``float(value)``, or a DataError naming a real that leaves the float
+    range: one too large for a float, or a nonzero one that rounds to 0."""
+    try:
+        result = float(value)
+    except OverflowError:
+        raise DataError(f"number {value} overflows a float") from None
+    if result == 0 and isinstance(value, Real) and value != 0:
+        raise DataError(f"number {value} underflows a float to 0")
+    return result
 
 
 def _in_range(op, a: float, b: float, left, how: str, right) -> float:
@@ -389,7 +406,7 @@ class Quantity(_Value):
     __slots__ = ("magnitude", "unit")
 
     def __init__(self, magnitude: float, unit: Unit):
-        magnitude = float(magnitude)
+        magnitude = _as_float(magnitude)
         if not math.isfinite(magnitude):
             raise DataError(f"quantity magnitude must be finite, got {magnitude!r}")
         _set(self, "magnitude", magnitude)
@@ -436,7 +453,7 @@ class Quantity(_Value):
             si, theirs = self._checked_si(), other._checked_si()
             magnitude = _in_range(op, si, theirs, self, how, other)
             return Quantity(magnitude, coherent_unit(dim))
-        magnitude = _in_range(op, self.magnitude, float(other), self, how, other)
+        magnitude = _in_range(op, self.magnitude, _as_float(other), self, how, other)
         return Quantity(magnitude, self.unit)
 
     def __mul__(self, other):
@@ -449,21 +466,13 @@ class Quantity(_Value):
 
     def __pow__(self, exponent) -> Quantity:
         k = _as_exponent(exponent)
-        self._check_base(k)
-        dim = self.dimension ** k
-        return Quantity(self._raised(k, float(k)), coherent_unit(dim))
-
-    def _check_base(self, k: Fraction) -> None:
-        """The DataError of ``self ** k`` for a negative base and a fractional ``k``."""
         if self.si_value < 0 and k.denominator != 1:
             raise DataError(
                 f"cannot raise negative quantity {self} to fractional power {k}"
             )
-
-    def _raised(self, k: Fraction, power: float) -> float:
-        """The SI magnitude of ``self ** k``, ``power`` being ``float(k)``,
-        checked as ``**`` checks it."""
-        return _in_range(pow, self._checked_si(), power, self, "to the power", k)
+        dim = self.dimension ** k
+        magnitude = _in_range(pow, self._checked_si(), float(k), self, "to the power", k)
+        return Quantity(magnitude, coherent_unit(dim))
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit.symbol}"

@@ -1,5 +1,8 @@
 import itertools
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -344,8 +347,13 @@ _eval_exponents = st.one_of(
 @example([(F(1, 2), parse_quantity("-4 m"))], 1.0)
 @example([(F(-1), parse_quantity("0 m"))], parse_quantity("2 ft"))
 @example([(F(1), parse_quantity("1e200 m")), (F(-1), parse_quantity("1e-150 s"))], 1e10)
+@example([(F(0), parse_quantity("1e308 yr"))], 1.0)  # its SI value overflows; inf ** 0.0 is 1.0
+@example([(F(-1), parse_quantity("3 m"))], 0.0)  # a zero prefactor gives 0
+@example([(F(2), parse_quantity("1e-200 m")), (F(1), parse_quantity("0 s"))], 1.0)
 def test_evaluate_matches_the_quantity_fold(terms, prefactor):
-    relation = ScalingRelation("y", {f"q{i}": exp for i, (exp, _) in enumerate(terms)})
+    # Exponents are set in place, so a drawn 0 stays a term.
+    relation = ScalingRelation("y", {})
+    relation.exponents.update({f"q{i}": exp for i, (exp, _) in enumerate(terms)})
     bindings = {f"q{i}": q for i, (_, q) in enumerate(terms)}
     expected = _evaluated(_evaluate_reference, relation, bindings, prefactor)
     algebra._evaluation_plan.cache_clear()
@@ -395,6 +403,22 @@ def test_evaluate_takes_any_real_prefactor():
         assert relation.evaluate(bindings, prefactor).si_value == 2.0 * float(prefactor)
 
 
+@pytest.mark.parametrize(
+    "prefactor,ending",
+    [(10**400, f"number {10**400} overflows a float"),
+     (F(1, 10**400), f"number 1/{10**400} underflows a float to 0")],
+    ids=["overflow", "underflow"],
+)
+def test_evaluate_names_a_prefactor_outside_the_float_range(prefactor, ending):
+    relation = ScalingRelation("y", {"a": 1})
+    bindings = {"a": parse_quantity("2 m")}
+    with pytest.raises(DataError) as info:
+        relation.evaluate(bindings, prefactor)
+    assert str(info.value) == f"evaluating 'y ~ a': {ending}"
+    assert _evaluated(_evaluate_reference, relation, bindings, prefactor) == (
+        DataError, str(info.value))
+
+
 # ---------------------------------------------------------------------------
 # check_exponent_bound
 
@@ -407,6 +431,8 @@ def test_beam_bound():
 def test_bound_requires_order():
     with pytest.raises(RelationError):
         check_exponent_bound(1, F(2), F(1))
+    with pytest.raises(RelationError, match="^bound requires lower < upper, got 1 and 1$"):
+        check_exponent_bound(1, F(1), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -848,3 +874,54 @@ def test_dim_matrix_preserves_order_and_entries():
     assert matrix.names == ("E", "t")
     assert matrix.columns[0] == ENERGY.as_tuple()
     assert matrix.rank() == 2
+
+
+# ---------------------------------------------------------------------------
+# shared caches under threads
+
+_THREAD_SYMBOLS = ["kg", "g", "m", "ft", "s", "hr", "yr", "J", "W", "N", "K", "GBP", "mph"]
+
+
+def _cache_work(seed):
+    """Seeded resolve, derive and evaluate work, as comparable values."""
+    rng = random.Random(seed)
+
+    def expression():
+        return " ".join(
+            f"{rng.choice(_THREAD_SYMBOLS)}^{rng.choice([-2, -1, 2, 3, '1/2', '-1/3'])}"
+            for _ in range(rng.randint(1, 3))
+        )
+
+    results = []
+    for _ in range(150):
+        units = [REG.resolve(expression()) for _ in range(rng.randint(2, 5))]
+        results.append([(u.symbol, u.dimension, u.scale.hex()) for u in units])
+        params = [(f"q{i}", u.dimension) for i, u in enumerate(units[1:])]
+        try:
+            relation = solve_target_exponents(units[0].dimension, params)
+        except (InconsistentDimensionsError, UnderdeterminedError) as exc:
+            relation = ScalingRelation("y", {name: rng.randint(-2, 2) for name, _ in params})
+            results.append((type(exc), str(exc)))
+        results.append((relation.exponents, pi_basis(params)))
+        bindings = {f"q{i}": Quantity(rng.choice([0.5, 3.0, 1e-200, 1e200]), u)
+                    for i, u in enumerate(units[1:])}
+        results.append(_evaluated(ScalingRelation.evaluate, relation, bindings, 2.0))
+    return results
+
+
+def test_shared_caches_give_the_serial_answers_under_threads():
+    # The token table, the elimination, the evaluation plans and the
+    # coherent units start empty, and 8 threads fill them at once.
+    seeds = range(16)
+    serial = [_cache_work(seed) for seed in seeds]
+    REG._tokens.clear()
+    for cache in (algebra._elimination, algebra._evaluation_plan, coherent_unit):
+        cache.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(_cache_work, seeds))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

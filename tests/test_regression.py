@@ -163,6 +163,25 @@ def test_noiseless_covariate_data_is_exact():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
+def test_r_squared_matches_an_independent_least_squares():
+    # A noisy quadratic fit with a covariate; R^2 from numpy's own solve.
+    rng = np.random.default_rng(11)
+    u = rng.uniform(0.0, 3.0, 60)
+    age = rng.uniform(0.0, 20.0, 60)
+    x = np.exp(u)
+    y = np.exp(0.7 + 1.5 * u - 0.2 * u**2 - 0.03 * age + rng.normal(0.0, 0.3, 60))
+    ds = DataSet({"x": (x, FT), "y": (y, GBP), "age": (age, YR)})
+    result = fit(ds, ModelSpec("y", GBP, "x", FT, include_quadratic=True,
+                               covariates=(("age", YR),)))
+    log_x, log_y = np.log(x), np.log(y)
+    design = np.column_stack([np.ones(60), log_x, log_x**2, age])
+    coefficients, *_ = np.linalg.lstsq(design, log_y, rcond=None)
+    residuals = log_y - design @ coefficients
+    expected = 1.0 - residuals @ residuals / ((log_y - log_y.mean()) ** 2).sum()
+    assert 0.5 < expected < 0.99  # noisy, so R^2 is not pinned at 1
+    assert result.r_squared == pytest.approx(expected, abs=1e-12)
+
+
 def test_collinear_design_names_offenders():
     x = np.exp(np.linspace(0, 3, 20))
     age = np.linspace(1.0, 20.0, 20)

@@ -155,6 +155,37 @@ def test_parse_zero_and_subnormal_numbers_are_kept(text):
     assert parse_quantity(text).magnitude == float(text.split()[0])
 
 
+_BIG, _TINY = 10**400, Fraction(1, 10**400)
+
+
+@pytest.mark.parametrize(
+    "compute, message",
+    [
+        (lambda: Quantity(_BIG, REG.symbol("m")), f"number {_BIG} overflows a float"),
+        (lambda: Quantity(-_BIG, REG.symbol("m")), f"number {-_BIG} overflows a float"),
+        (lambda: Quantity(_TINY, REG.symbol("m")), f"number {_TINY} underflows a float to 0"),
+        (lambda: UnitRegistry().register("big", LENGTH, _BIG), f"number {_BIG} overflows a float"),
+        (lambda: parse_quantity("2 m") * _BIG, f"number {_BIG} overflows a float"),
+        (lambda: parse_quantity("2 m") / Fraction(_BIG), f"number {_BIG} overflows a float"),
+        (lambda: _TINY * parse_quantity("2 m"), f"number {_TINY} underflows a float to 0"),
+    ],
+    ids=["magnitude-overflow", "negative-magnitude-overflow", "magnitude-underflow",
+         "scale-overflow", "mul-operand-overflow", "div-operand-overflow",
+         "rmul-operand-underflow"],
+)
+def test_a_real_outside_the_float_range_is_named(compute, message):
+    with pytest.raises(DataError) as info:
+        compute()
+    assert str(info.value) == message
+
+
+def test_reals_inside_the_float_range_become_their_float():
+    m = REG.symbol("m")
+    for value in (0, Fraction(0), -0.0, Fraction(1, 3), 10**300, Fraction(1, 10**300)):
+        assert Quantity(value, m).magnitude == float(value)
+    assert Unit("third", LENGTH, Fraction(1, 3)).scale == 1 / 3
+
+
 # ---------------------------------------------------------------------------
 # convert
 
