@@ -6,77 +6,70 @@ relations, fit power laws to data in log space with covariates and
 diagnostics, and run a casebook of classic worked predictions behind a
 command-line interface.
 
-The names served by ``regression``, ``csvio`` and ``svgplot`` are loaded on
-first use: those modules import numpy, and derivations, pi-group bases and
-the casebook do not need it.
+Every public name is served by one table, ``_LAZY``, which maps it to its
+defining submodule: ``import scalelab`` loads no submodule, and each one is
+imported when a name from it is first used.  So derivations, pi-group bases
+and the casebook run without numpy, which ``regression``, ``csvio`` and
+``svgplot`` import.
 """
 
 from importlib import import_module as _import_module
 
-from .algebra import (
-    DimMatrix,
-    PiGroup,
-    ScalingRelation,
-    chain,
-    check_exponent_bound,
-    pi_basis,
-    solve_balance,
-    solve_target_exponents,
-)
-from .casebook import (
-    BlastConfig,
-    CaseReport,
-    blast_radius,
-    blast_yield,
-    hull_speed,
-    kleiber_chain_demo,
-    roast_time,
-    terminal_velocity_scale,
-)
-from .errors import (
-    CapacityError,
-    CollinearityError,
-    DataError,
-    DerivationError,
-    DimensionMismatchError,
-    InconsistentDimensionsError,
-    QuantityParseError,
-    RelationError,
-    ScaleLabError,
-    UnderdeterminedError,
-    UnknownUnitError,
-)
-from .units import (
-    Dimension,
-    Quantity,
-    Unit,
-    UnitRegistry,
-    convert,
-    default_registry,
-    log_ratio,
-    parse_quantity,
-)
-
 __version__ = "0.1.0"
 
-_LAZY_MODULES = ("csvio", "regression", "svgplot")
+_LAZY_MODULES = (
+    "algebra", "casebook", "csvio", "errors", "regression", "svgplot", "units",
+)
 _LAZY = {
-    **dict.fromkeys(("dump_csv", "load_csv", "save_csv"), "csvio"),
-    **dict.fromkeys(
-        (
-            "DataSet",
-            "FitResult",
-            "ModelSpec",
-            "fit",
-            "fit_power_law",
-            "fit_quadratic_log",
-            "fit_with_covariates",
-            "residual_distance_ratio",
-            "transform_under_unit_change",
-        ),
-        "regression",
-    ),
-    **dict.fromkeys(("PlotSpec", "emit_svg_plot"), "svgplot"),
+    "DimMatrix": "algebra",
+    "PiGroup": "algebra",
+    "ScalingRelation": "algebra",
+    "chain": "algebra",
+    "check_exponent_bound": "algebra",
+    "pi_basis": "algebra",
+    "solve_balance": "algebra",
+    "solve_target_exponents": "algebra",
+    "BlastConfig": "casebook",
+    "CaseReport": "casebook",
+    "blast_radius": "casebook",
+    "blast_yield": "casebook",
+    "hull_speed": "casebook",
+    "kleiber_chain_demo": "casebook",
+    "roast_time": "casebook",
+    "terminal_velocity_scale": "casebook",
+    "dump_csv": "csvio",
+    "load_csv": "csvio",
+    "save_csv": "csvio",
+    "CapacityError": "errors",
+    "CollinearityError": "errors",
+    "DataError": "errors",
+    "DerivationError": "errors",
+    "DimensionMismatchError": "errors",
+    "InconsistentDimensionsError": "errors",
+    "QuantityParseError": "errors",
+    "RelationError": "errors",
+    "ScaleLabError": "errors",
+    "UnderdeterminedError": "errors",
+    "UnknownUnitError": "errors",
+    "DataSet": "regression",
+    "FitResult": "regression",
+    "ModelSpec": "regression",
+    "fit": "regression",
+    "fit_power_law": "regression",
+    "fit_quadratic_log": "regression",
+    "fit_with_covariates": "regression",
+    "residual_distance_ratio": "regression",
+    "transform_under_unit_change": "regression",
+    "PlotSpec": "svgplot",
+    "emit_svg_plot": "svgplot",
+    "Dimension": "units",
+    "Quantity": "units",
+    "Unit": "units",
+    "UnitRegistry": "units",
+    "convert": "units",
+    "default_registry": "units",
+    "log_ratio": "units",
+    "parse_quantity": "units",
 }
 
 __all__ = sorted(

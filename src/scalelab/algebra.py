@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -154,10 +154,17 @@ class ScalingRelation(_Value):
                 magnitude, dimension = prefactor.si_value, prefactor.unit.dimension
             else:
                 magnitude, dimension = _as_float(prefactor), DIMENSIONLESS
-            plan = _evaluation_plan(tuple([
-                (exp.numerator, exp.denominator, bindings[name].unit.dimension)
-                for name, exp in exponents.items()
-            ]), dimension)
+            try:
+                plan = _evaluation_plan(tuple([
+                    (exp.numerator, exp.denominator, bindings[name].unit.dimension)
+                    for name, exp in exponents.items()
+                ]), dimension)
+            except AttributeError:  # an exponent set in place to a non-rational
+                name = next(n for n, e in exponents.items() if not isinstance(e, Rational))
+                raise RelationError(
+                    f"cannot evaluate {self.render()!r}: the exponent of {name!r} is a "
+                    f"{type(exponents[name]).__name__}, not an int or Fraction"
+                ) from None
             if plan:
                 try:
                     for name, power in zip(exponents, plan[1]):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -115,18 +116,24 @@ def test_impossible_takes_precedence_over_underdetermined():
 
 
 @pytest.mark.parametrize(
-    "derive",
+    "derive,message",
     [
-        lambda: solve_target_exponents(
-            VELOCITY, [("g", GRAVITY), ("l", LENGTH)], target_name="v"
+        (
+            lambda: solve_target_exponents(
+                VELOCITY, [("g", GRAVITY), ("l", LENGTH)], target_name="v"
+            ),
+            "substitution gives [L^3 T^-3], expected [L T^-1]",
         ),
-        lambda: pi_basis(
-            [("r", LENGTH), ("E", ENERGY), ("rho", DENSITY), ("t", TIME)]
+        (
+            lambda: pi_basis(
+                [("r", LENGTH), ("E", ENERGY), ("rho", DENSITY), ("t", TIME)]
+            ),
+            "group pi: r^3 E^-3 rho^-1 t^-4 has dimension [M^-4 T^2]",
         ),
     ],
     ids=["solve_target_exponents", "pi_basis"],
 )
-def test_wrong_back_substitution_fails_the_internal_check(monkeypatch, derive):
+def test_wrong_back_substitution_fails_the_internal_check(monkeypatch, derive, message):
     derive()  # the unpatched path passes its own check
     real = algebra._back_substitute
 
@@ -136,7 +143,7 @@ def test_wrong_back_substitution_fails_the_internal_check(monkeypatch, derive):
         return [x + denominator for x in solution], denominator
 
     monkeypatch.setattr(algebra, "_back_substitute", off_by_one)
-    with pytest.raises(DerivationError, match="internal check failed"):
+    with pytest.raises(DerivationError, match=f"^internal check failed: {re.escape(message)}$"):
         derive()
 
 
@@ -394,6 +401,24 @@ def test_evaluate_rejects_a_bad_argument(bindings, prefactor, message):
     relation = ScalingRelation("y", {"a": 1})
     with pytest.raises(RelationError, match=f"^cannot evaluate 'y ~ a': {message}$"):
         relation.evaluate(bindings, prefactor)
+
+
+@pytest.mark.parametrize(
+    "exponent,message",
+    [
+        (0.5, "'y ~ a^0.5 b^2': the exponent of 'a' is a float, not an int or Fraction"),
+        ("1/2", "'y ~ a^1/2 b^2': the exponent of 'a' is a str, not an int or Fraction"),
+    ],
+    ids=["float", "str"],
+)
+def test_evaluate_names_an_exponent_set_in_place_to_a_non_rational(exponent, message):
+    # The constructor raises TypeError for such an exponent; one set in
+    # place is only seen by evaluate.
+    relation = ScalingRelation("y", {"a": 1, "b": 2})
+    relation.exponents["a"] = exponent
+    bindings = {"a": parse_quantity("4 m"), "b": parse_quantity("2 s")}
+    with pytest.raises(RelationError, match=f"^cannot evaluate {re.escape(message)}$"):
+        relation.evaluate(bindings)
 
 
 def test_evaluate_takes_any_real_prefactor():

@@ -3,9 +3,12 @@ no command may import ``dataclasses`` (which imports ``inspect``).
 
 numpy is already loaded in the test process, so each command runs in a
 fresh interpreter that reports its exit code and whether numpy and
-``dataclasses`` were imported.
+``dataclasses`` were imported.  The package's export surface is pinned
+here too: ``import scalelab`` loads no submodule, and each exported name
+is the defining module's object.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -113,14 +116,49 @@ print(json.dumps([b.cache_info().currsize for b in builders]))
     assert len(sizes) >= 5 and set(sizes) == {0}
 
 
-def test_lazy_exports_resolve_to_their_modules():
-    from scalelab import DataSet, PlotSpec, fit, fit_power_law, load_csv
+def test_import_scalelab_loads_no_submodule():
+    script = """
+import scalelab
+loaded = [m for m in sys.modules if m.startswith("scalelab.")]
+print(json.dumps([loaded, "numpy" in sys.modules, "dataclasses" in sys.modules]))
+"""
+    assert run_fresh(script) == ([], False, False)
 
-    assert fit is scalelab.regression.fit
-    assert fit_power_law is scalelab.regression.fit_power_law
-    assert DataSet is scalelab.regression.DataSet
-    assert load_csv.__module__ == "scalelab.csvio"
-    assert PlotSpec.__module__ == "scalelab.svgplot"
+
+EXPORTS = [
+    "BlastConfig", "CapacityError", "CaseReport", "CollinearityError", "DataError",
+    "DataSet", "DerivationError", "DimMatrix", "Dimension", "DimensionMismatchError",
+    "FitResult", "InconsistentDimensionsError", "ModelSpec", "PiGroup", "PlotSpec",
+    "Quantity", "QuantityParseError", "RelationError", "ScaleLabError",
+    "ScalingRelation", "UnderdeterminedError", "Unit", "UnitRegistry",
+    "UnknownUnitError", "algebra", "blast_radius", "blast_yield", "casebook", "chain",
+    "check_exponent_bound", "convert", "csvio", "default_registry", "dump_csv",
+    "emit_svg_plot", "errors", "fit", "fit_power_law", "fit_quadratic_log",
+    "fit_with_covariates", "hull_speed", "kleiber_chain_demo", "load_csv", "log_ratio",
+    "parse_quantity", "pi_basis", "regression", "residual_distance_ratio", "roast_time",
+    "save_csv", "solve_balance", "solve_target_exponents", "svgplot",
+    "terminal_velocity_scale", "transform_under_unit_change", "units",
+]
+
+
+def test_all_is_the_pinned_export_list():
+    assert scalelab.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", sorted(scalelab._LAZY))
+def test_lazy_exports_resolve_to_their_modules(name):
+    module = importlib.import_module(f"scalelab.{scalelab._LAZY[name]}")
+    assert getattr(scalelab, name) is getattr(module, name)
+    assert getattr(module, name).__module__ == module.__name__
+    namespace = {}
+    exec(f"from scalelab import {name}", namespace)
+    assert namespace[name] is getattr(module, name)
+
+
+def test_a_name_patched_in_its_module_is_seen_through_the_package(monkeypatch):
+    patched = object()
+    monkeypatch.setattr(scalelab.algebra, "pi_basis", patched)
+    assert scalelab.pi_basis is patched
 
 
 def test_lazy_exports_are_listed():
