@@ -13,15 +13,12 @@ and the casebook run without numpy, which ``regression``, ``csvio`` and
 ``svgplot`` import.
 """
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 _LAZY_MODULES = (
     "algebra", "casebook", "csvio", "errors", "regression", "svgplot", "units",
 )
 _LAZY = {
-    "DimMatrix": "algebra",
     "PiGroup": "algebra",
     "ScalingRelation": "algebra",
     "chain": "algebra",
@@ -81,10 +78,11 @@ __all__ = sorted(
 def __getattr__(name: str):
     # No caching in this module's globals: every lookup reads the defining
     # module's current binding, so a name patched there is seen here too.
+    # __import__, unlike importlib.import_module, is timed by -X importtime.
     if name in _LAZY_MODULES:
-        return _import_module(f"{__name__}.{name}")
+        return __import__(f"{__name__}.{name}", fromlist=["_"])
     if name in _LAZY:
-        return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+        return getattr(__import__(f"{__name__}.{_LAZY[name]}", fromlist=["_"]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -10,23 +10,23 @@ denominator for the whole matrix; back-substitution keeps its solution as
 integers over one common denominator, and the substitution check is one
 integer matrix-vector product.
 
-Both derivations read one elimination of the parameter matrix ``A``,
-kept per matrix in a small cache, so solving for a target and computing
-the groups of the same parameters eliminate ``A`` once.  The elimination
-records each pivot step (row swap, pivot, previous pivot, multipliers);
-a target column ``t`` is reduced through those steps, the integer
-arithmetic Bareiss applies to the last column of ``[A | t]``.  If the
-reduced ``t`` is nonzero below the rank the target is impossible; if the
-rank is below ``n`` there are ``n - rank`` free directions; otherwise
+Both derivations read one elimination of the parameter matrix ``A``, kept
+per parameter list in a small cache, so solving for a target and
+computing the groups of the same parameters eliminate ``A`` once.  The
+elimination records each pivot step (row swap, pivot, previous pivot,
+multipliers); a target column ``t`` is reduced through those steps, the
+integer arithmetic Bareiss applies to the last column of ``[A | t]``.  If
+the reduced ``t`` is nonzero below the rank the target is impossible; if
+the rank is below ``n`` there are ``n - rank`` free directions; otherwise
 fixing the target's exponent at -1 and back-substituting leaves the
 unique exponents ``x`` of ``A x = t``.  Groups back-substitute with one
 free column at a time fixed at 1.  Only the elimination is cached: every
 answer is built and checked by substitution on each call.
 
 Everything here is a pure function over immutable values; the caches
-(elimination per matrix, evaluation plan per relation shape) are bounded,
-keyed by value, hold immutable results and are safe to share across
-threads.
+(elimination per parameter list, evaluation plan per relation shape) are
+bounded, keyed by value, hold immutable results and are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .units import (
 )
 
 __all__ = [
-    "DimMatrix",
     "PiGroup",
     "ScalingRelation",
     "solve_target_exponents",
@@ -236,60 +235,34 @@ class PiGroup(_Value):
         return self.render()
 
 
-class DimMatrix:
-    """Dimension exponents of named quantities, columns in input order.
-
-    Rows are indexed by the base dimensions, columns by the quantities;
-    entries are the quantities' exact exponents, kept as each dimension's
-    integer numerators over its common denominator.
-    """
-
-    def __init__(self, quantities: Sequence[tuple[str, Dimension]]):
-        names = [name for name, _ in quantities]
-        if len(set(names)) != len(names):
-            raise RelationError(f"duplicate quantity names in {names}")
-        self.names: tuple[str, ...] = tuple(names)
-        self._exponents = tuple((dim.numerators, dim.denominator) for _, dim in quantities)
-
-    @property
-    def n_quantities(self) -> int:
-        return len(self.names)
-
-    @property
-    def columns(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Each quantity's exponents, in base-dimension order."""
-        return tuple(
-            tuple(Fraction(n, den) for n in nums) for nums, den in self._exponents
-        )
-
-    def rank(self) -> int:
-        _, _, _, pivots, _ = _elimination(self._exponents)
-        return len(pivots)
-
-
 @functools.lru_cache(maxsize=64)
-def _elimination(columns: tuple[tuple[tuple[int, ...], int], ...]):
-    """Bareiss fraction-free elimination of one parameter matrix.
+def _elimination(params: tuple[tuple[str, Dimension], ...]):
+    """Bareiss fraction-free elimination of one parameter list.
 
-    ``columns`` holds each quantity's ``(numerators, denominator)``.  Row
-    ``r`` of the integer matrix holds ``d`` times each column's exponent of
-    base dimension ``r``, ``d`` the lcm of the denominators; one factor for
-    the whole matrix leaves its row space and null space as they are.
-    Pivot columns are chosen left to right.
+    ``params`` holds each quantity's ``(name, dimension)``, one column per
+    quantity; a repeated name raises :class:`RelationError`.  Row ``r`` of
+    the integer matrix holds ``d`` times each column's exponent of base
+    dimension ``r``, ``d`` the lcm of the denominators; one factor for the
+    whole matrix leaves its row space and null space as they are.  Pivot
+    columns are chosen left to right.
 
-    Returns ``(rows, d, echelon, pivots, steps)``: the scaled rows, ``d``,
-    the echelon rows, the pivot column indices, and per pivot the step
-    ``(swap, pivot, previous pivot, multipliers)`` that
+    Returns ``(names, rows, d, echelon, pivots, steps)``: the names, the
+    scaled rows, ``d``, the echelon rows, the pivot column indices, and per
+    pivot the step ``(swap, pivot, previous pivot, multipliers)`` that
     :func:`_reduce_column` replays on another column.  Every part is an
     immutable tuple.
     """
-    common = math.lcm(*[den for _, den in columns])
+    names = [name for name, _ in params]
+    if len(set(names)) != len(names):
+        raise RelationError(f"duplicate quantity names in {names}")
+    common = math.lcm(*[dim.denominator for _, dim in params])
     rows = tuple(zip(*[
-        nums if den == common else [n * (common // den) for n in nums]
-        for nums, den in columns
+        dim.numerators if dim.denominator == common
+        else [n * (common // dim.denominator) for n in dim.numerators]
+        for _, dim in params
     ]))
     matrix = [list(row) for row in rows]
-    n_rows, n_cols = len(matrix), len(columns)
+    n_rows, n_cols = len(matrix), len(params)
     pivots, steps = [], []
     prev = 1
     r = 0
@@ -313,7 +286,7 @@ def _elimination(columns: tuple[tuple[tuple[int, ...], int], ...]):
         prev = pivot
         pivots.append(c)
         r += 1
-    return rows, common, tuple(map(tuple, matrix)), tuple(pivots), tuple(steps)
+    return tuple(names), rows, common, tuple(map(tuple, matrix)), tuple(pivots), tuple(steps)
 
 
 def _reduce_column(steps, column: list[int]) -> list[int]:
@@ -379,9 +352,10 @@ def solve_target_exponents(
     """
     if not params:
         raise RelationError("at least one parameter is required")
-    matrix = DimMatrix(params)
-    n = matrix.n_quantities
-    rows, common, echelon, pivots, steps = _elimination(matrix._exponents)
+    names, rows, common, echelon, pivots, steps = _elimination(
+        tuple([(name, dim) for name, dim in params])
+    )
+    n = len(names)
     # rows is common * A.  With c = scale * common the lcm of common and
     # the target's denominator, c * t is integral, and rows y = c * t is
     # solved by y = scale * x.
@@ -392,7 +366,7 @@ def solve_target_exponents(
     if any(reduced[len(pivots):]):
         raise InconsistentDimensionsError(
             f"target [{target}] is dimensionally impossible from "
-            f"{', '.join(matrix.names)}"
+            f"{', '.join(names)}"
         )
     if len(pivots) < n:
         raise UnderdeterminedError(n - len(pivots))
@@ -408,7 +382,7 @@ def solve_target_exponents(
     denominator *= scale
     return ScalingRelation(
         target_name,
-        {name: Fraction(v, denominator) for name, v in zip(matrix.names, solution)},
+        {name: Fraction(v, denominator) for name, v in zip(names, solution)},
     )
 
 
@@ -432,12 +406,13 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
     """
     if not quantities:
         raise RelationError("at least one quantity is required")
-    matrix = DimMatrix(quantities)
-    rows, common, echelon, pivots, _ = _elimination(matrix._exponents)
+    names, rows, common, echelon, pivots, _ = _elimination(
+        tuple([(name, dim) for name, dim in quantities])
+    )
     basis = []
-    for free in (c for c in range(matrix.n_quantities) if c not in pivots):
+    for free in (c for c in range(len(names)) if c not in pivots):
         solution, _ = _back_substitute(echelon, pivots, {free: 1})
-        group = PiGroup(matrix.names, _normalize_group(solution))
+        group = PiGroup(names, _normalize_group(solution))
         total = _product(rows, group.exponents)
         if any(total):
             raise DerivationError(

@@ -69,7 +69,7 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     """
     registry = registry or default_registry()
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc

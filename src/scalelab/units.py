@@ -363,13 +363,18 @@ def coherent_unit(dimension: Dimension) -> Unit:
 
 
 def _as_float(value) -> float:
-    """``float(value)``, or a DataError naming a real that leaves the float
+    """``float(value)`` of a ``numbers.Real``, or a DataError naming a value
+    that is not one (text, a Decimal), or a real that leaves the float
     range: one too large for a float, or a nonzero one that rounds to 0."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, Real):
+        raise DataError(f"{value!r} is a {type(value).__name__}, not a real number")
     try:
         result = float(value)
     except OverflowError:
         raise DataError(f"number {value} overflows a float") from None
-    if result == 0 and isinstance(value, Real) and value != 0:
+    if result == 0 and value != 0:
         raise DataError(f"number {value} underflows a float to 0")
     return result
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import scalelab.algebra as algebra
 from scalelab.algebra import (
-    DimMatrix,
     PiGroup,
     ScalingRelation,
     chain,
@@ -100,8 +99,14 @@ def test_no_parameters_is_an_error():
 
 
 def test_duplicate_parameter_names_rejected():
-    with pytest.raises(RelationError):
-        solve_target_exponents(LENGTH, [("l", LENGTH), ("l", LENGTH)])
+    # The check runs in the cached elimination; an exception is not cached,
+    # so every call raises it again.
+    params = [("a", LENGTH), ("a", TIME)]
+    for call in [lambda: solve_target_exponents(LENGTH, params),
+                 lambda: pi_basis(params)] * 2:
+        with pytest.raises(RelationError) as info:
+            call()
+        assert str(info.value) == "duplicate quantity names in ['a', 'a']"
 
 
 def test_impossible_takes_precedence_over_underdetermined():
@@ -708,7 +713,6 @@ def test_derivations_agree_with_an_independent_oracle(problem):
     groups = pi_basis(params)
     _check_against_oracle(params, target, solved)
     _check_groups_against_oracle(params, groups)
-    assert DimMatrix(params).rank() == len(params) - len(groups)
 
     algebra._elimination.cache_clear()
     assert pi_basis(params) == groups  # pi, then solve
@@ -892,13 +896,22 @@ def test_monomials_render_alike(render, expected):
 
 
 # ---------------------------------------------------------------------------
-# DimMatrix
+# one elimination per parameter list
 
-def test_dim_matrix_preserves_order_and_entries():
-    matrix = DimMatrix([("E", ENERGY), ("t", TIME)])
-    assert matrix.names == ("E", "t")
-    assert matrix.columns[0] == ENERGY.as_tuple()
-    assert matrix.rank() == 2
+def test_one_parameter_list_is_eliminated_once_for_solve_and_pi():
+    params = [("E", ENERGY), ("rho", DENSITY), ("t", TIME)]
+    algebra._elimination.cache_clear()
+    solved = solve_target_exponents(LENGTH, params, "r")
+    assert solved == ScalingRelation("r", {"E": "1/5", "rho": "-1/5", "t": "2/5"})
+    assert pi_basis(params) == []
+    info = algebra._elimination.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+    # Pairs given as lists, or as a generator, key the same entry.
+    assert solve_target_exponents(LENGTH, [list(pair) for pair in params], "r") == solved
+    assert pi_basis(pair for pair in params) == []
+    info = algebra._elimination.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,17 @@ def test_comments_and_blank_lines_are_ignored(tmp_path):
         np.testing.assert_array_equal(a.column(name).values, b.column(name).values)
 
 
+def test_a_utf8_byte_order_mark_is_not_read_as_header_text(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a leading BOM.
+    text = "x[m],y[s]\n1.0,2.0\n2.0,3.0\n4.0,5.0\n"
+    plain = write(tmp_path, "plain.csv", text)
+    marked = write(tmp_path, "marked.csv", "\ufeff" + text)
+    a, b = load_csv(plain), load_csv(marked)
+    assert b.names == a.names == ("x", "y")
+    assert dump_csv(b) == dump_csv(a) == text
+    assert run_command(["fit", "--csv", marked, "--x", "x", "--y", "y"]) == 0
+
+
 def test_ragged_row_reports_line_number(tmp_path):
     path = write(tmp_path, "ragged.csv", "x[m],y[m]\n1,2\n3\n")
     with pytest.raises(DataError, match="line 3"):

@@ -30,15 +30,21 @@ print(json.dumps([code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
-def run_fresh(script, *args):
-    """Run ``script`` in a new interpreter; return its last stdout line as JSON."""
+def run_python(*args):
+    """Run a new interpreter with ``args``, ``src`` on its path; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + script, *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=60, check=False,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a new interpreter; return its last stdout line as JSON."""
+    proc = run_python("-c", "import json, sys\n" + script, *args)
     return tuple(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -116,6 +122,24 @@ print(json.dumps([b.cache_info().currsize for b in builders]))
     assert len(sizes) >= 5 and set(sizes) == {0}
 
 
+@pytest.mark.parametrize(
+    "args, module",
+    [
+        (["-c", "import scalelab; scalelab.pi_basis"], "scalelab.algebra"),
+        (["-m", "scalelab.cli", "derive", "--target", "v:m s^-1", "--params", "g:m s^-2,l:m"],
+         "scalelab.casebook"),
+    ],
+    ids=["package-attribute", "derive"],
+)
+def test_importtime_lists_a_module_loaded_through_the_package(args, module):
+    # The CI importtime check reads these lines; a module the package loads
+    # on first use must be among them.
+    log = run_python("-X", "importtime", *args).stderr
+    modules = [line.split("|")[-1].strip() for line in log.splitlines()
+               if line.startswith("import time:")]
+    assert module in modules
+
+
 def test_import_scalelab_loads_no_submodule():
     script = """
 import scalelab
@@ -127,7 +151,7 @@ print(json.dumps([loaded, "numpy" in sys.modules, "dataclasses" in sys.modules])
 
 EXPORTS = [
     "BlastConfig", "CapacityError", "CaseReport", "CollinearityError", "DataError",
-    "DataSet", "DerivationError", "DimMatrix", "Dimension", "DimensionMismatchError",
+    "DataSet", "DerivationError", "Dimension", "DimensionMismatchError",
     "FitResult", "InconsistentDimensionsError", "ModelSpec", "PiGroup", "PlotSpec",
     "Quantity", "QuantityParseError", "RelationError", "ScaleLabError",
     "ScalingRelation", "UnderdeterminedError", "Unit", "UnitRegistry",

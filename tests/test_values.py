@@ -15,6 +15,7 @@ import copy
 import itertools
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -399,7 +400,14 @@ def _report(prediction):
          "unit 'm' must have a positive finite scale"),
         (lambda: Quantity(math.inf, M), DataError, "quantity magnitude must be finite, got inf"),
         (lambda: Quantity(math.nan, M), DataError, "quantity magnitude must be finite, got nan"),
-        (lambda: Quantity("x", M), ValueError, "could not convert string to float: 'x'"),
+        (lambda: Quantity("x", M), DataError, "'x' is a str, not a real number"),
+        (lambda: Quantity("5", M), DataError, "'5' is a str, not a real number"),
+        (lambda: Unit("z", LENGTH, "2"), DataError, "'2' is a str, not a real number"),
+        (lambda: parse_quantity("2 m") * "3", DataError, "'3' is a str, not a real number"),
+        (lambda: "3" * parse_quantity("2 m"), DataError, "'3' is a str, not a real number"),
+        (lambda: parse_quantity("2 m") / "4", DataError, "'4' is a str, not a real number"),
+        (lambda: parse_quantity("2 m") * Decimal("1.5"), DataError,
+         "Decimal('1.5') is a Decimal, not a real number"),
         (lambda: ScalingRelation("", {"x": 0.5}), RelationError,
          "relation target must be a non-empty name"),
         (lambda: ScalingRelation("y", {"x": 0.5}), TypeError,
@@ -437,7 +445,8 @@ def _report(prediction):
     ],
     ids=["dim-float", "dim-malformed", "dim-first-error", "dim-capacity", "unit-symbol-first",
          "unit-zero-scale", "unit-inf-scale", "unit-nan-scale", "quantity-inf", "quantity-nan",
-         "quantity-text", "relation-target-first", "relation-float", "relation-target-term",
+         "quantity-text", "quantity-numeric-text", "unit-text-scale", "times-text",
+         "text-times", "divided-by-text", "times-decimal", "relation-target-first", "relation-float", "relation-target-term",
          "relation-target-among-terms", "pi-align", "pi-zero", "pi-gcd", "pi-sign",
          "blast-inf", "blast-nan-first", "blast-zero", "blast-negative", "blast-rho-dimension",
          "blast-rho-sign", "blast-rho-si", "report-dimension", "fit-r-squared-first",
