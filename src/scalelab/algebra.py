@@ -87,11 +87,7 @@ class ScalingRelation(_Value):
     def __init__(self, target: str, exponents: Mapping[str, int | str | Fraction]):
         if not target:
             raise RelationError("relation target must be a non-empty name")
-        cleaned: dict[str, Fraction] = {}
-        for name, exp in exponents.items():
-            frac = _as_exponent(exp)
-            if frac != 0:
-                cleaned[name] = frac
+        cleaned = {name: frac for name, exp in exponents.items() if (frac := _as_exponent(exp))}
         if target in cleaned and cleaned != {target: Fraction(1)}:
             raise RelationError(f"target {target!r} may not appear among the terms")
         self.__setstate__((target, cleaned))
@@ -236,15 +232,15 @@ class PiGroup(_Value):
 
 
 @functools.lru_cache(maxsize=64)
-def _elimination(params: tuple[tuple[str, Dimension], ...]):
+def _elimination(params: tuple[tuple[str, tuple[int, ...], int], ...]):
     """Bareiss fraction-free elimination of one parameter list.
 
-    ``params`` holds each quantity's ``(name, dimension)``, one column per
-    quantity; a repeated name raises :class:`RelationError`.  Row ``r`` of
-    the integer matrix holds ``d`` times each column's exponent of base
-    dimension ``r``, ``d`` the lcm of the denominators; one factor for the
-    whole matrix leaves its row space and null space as they are.  Pivot
-    columns are chosen left to right.
+    ``params`` holds each quantity's name and its Dimension's numerators
+    and denominator, one column per quantity; a repeated name raises
+    :class:`RelationError`.  Row ``r`` of the integer matrix holds ``d``
+    times each column's exponent of base dimension ``r``, ``d`` the lcm of
+    the denominators; one factor for the whole matrix leaves its row space
+    and null space as they are.  Pivot columns are chosen left to right.
 
     Returns ``(names, rows, d, echelon, pivots, steps)``: the names, the
     scaled rows, ``d``, the echelon rows, the pivot column indices, and per
@@ -252,14 +248,13 @@ def _elimination(params: tuple[tuple[str, Dimension], ...]):
     :func:`_reduce_column` replays on another column.  Every part is an
     immutable tuple.
     """
-    names = [name for name, _ in params]
+    names = [name for name, _, _ in params]
     if len(set(names)) != len(names):
         raise RelationError(f"duplicate quantity names in {names}")
-    common = math.lcm(*[dim.denominator for _, dim in params])
+    common = math.lcm(*[d for _, _, d in params])
     rows = tuple(zip(*[
-        dim.numerators if dim.denominator == common
-        else [n * (common // dim.denominator) for n in dim.numerators]
-        for _, dim in params
+        nums if d == common else [n * (common // d) for n in nums]
+        for _, nums, d in params
     ]))
     matrix = [list(row) for row in rows]
     n_rows, n_cols = len(matrix), len(params)
@@ -287,6 +282,29 @@ def _elimination(params: tuple[tuple[str, Dimension], ...]):
         pivots.append(c)
         r += 1
     return tuple(names), rows, common, tuple(map(tuple, matrix)), tuple(pivots), tuple(steps)
+
+
+def _eliminated(params):
+    """:func:`_elimination` of ``params``, any iterable of ``(name, Dimension)``
+    pairs, keyed once by each name and its Dimension's integer form.
+
+    An empty list raises :class:`RelationError`, as does an entry that is
+    not such a pair, whose name the cache cannot hash or whose dimension
+    has no integer form (``numerators`` and ``denominator``), naming that
+    entry.  Reading those integers is the dimension check: no isinstance
+    test runs per call, and the cache hashes and compares ints and strs.
+    """
+    key, entry = [], params  # entry: what an error names, params if not iterable
+    try:
+        for entry in params:
+            name, dim = entry
+            hash(name)
+            key.append((name, dim.numerators, dim.denominator))
+    except (AttributeError, TypeError, ValueError):
+        raise RelationError(f"quantities must be (name, Dimension) pairs; got {entry!r}") from None
+    if not key:
+        raise RelationError("at least one quantity is required")
+    return _elimination(tuple(key))
 
 
 def _reduce_column(steps, column: list[int]) -> list[int]:
@@ -348,13 +366,13 @@ def solve_target_exponents(
     dimensionally impossible), and :class:`UnderdeterminedError` when the
     parameter dimensions are rationally dependent; the latter carries the
     number of free directions, i.e. the count of surplus dimensionless
-    groups.
+    groups.  A target that is not a Dimension, and a parameter list that
+    is empty or not ``(name, Dimension)`` pairs, raise
+    :class:`RelationError`.
     """
-    if not params:
-        raise RelationError("at least one parameter is required")
-    names, rows, common, echelon, pivots, steps = _elimination(
-        tuple([(name, dim) for name, dim in params])
-    )
+    if not isinstance(target, Dimension):
+        raise RelationError(f"target {target!r} is a {type(target).__name__}, not a Dimension")
+    names, rows, common, echelon, pivots, steps = _eliminated(params)
     n = len(names)
     # rows is common * A.  With c = scale * common the lcm of common and
     # the target's denominator, c * t is integral, and rows y = c * t is
@@ -402,13 +420,10 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
     matrix (size n - rank); an empty list is a valid result.  Every group
     is verified exactly dimensionless before being returned.  Free
     variables are taken in input column order, so the basis is
-    deterministic.
+    deterministic.  A list that is empty or not ``(name, Dimension)``
+    pairs raises :class:`RelationError`.
     """
-    if not quantities:
-        raise RelationError("at least one quantity is required")
-    names, rows, common, echelon, pivots, _ = _elimination(
-        tuple([(name, dim) for name, dim in quantities])
-    )
+    names, rows, common, echelon, pivots, _ = _eliminated(quantities)
     basis = []
     for free in (c for c in range(len(names)) if c not in pivots):
         solution, _ = _back_substitute(echelon, pivots, {free: 1})

@@ -264,11 +264,12 @@ class FitResult(_Value):
             fields.append((f"covariate[{name}]", unit.symbol))
         return fields
 
-    def report(self, digits: int = 6) -> str:
+    def report(self) -> str:
+        """One ``key = value`` line per report field, floats to 6 significant digits."""
         lines = []
         for key, value in self.report_fields():
             if isinstance(value, float):
-                lines.append(f"{key} = {value:.{digits}g}")
+                lines.append(f"{key} = {value:.6g}")
             else:
                 lines.append(f"{key} = {value}")
         return "\n".join(lines)

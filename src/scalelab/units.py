@@ -50,7 +50,12 @@ Unit-expression grammar (used by :func:`parse_quantity` and
 
 e.g. ``"m s^-2"``, ``"kg m^-3"``, ``"m^5 s^-2"``.  A symbol may itself
 contain ``/`` (the registry ships ``m/s``); the exponent separator is the
-first ``^`` in a token.
+first ``^`` in a token.  ``rational`` is the one string form of every
+exponent: a unit token's, and a string given to :class:`Dimension`,
+:meth:`Dimension.combine`, ``**``, ``ScalingRelation`` or
+``solve_balance``.  Other text (``"0.5"``, ``"1e3"``, ``" 1/2"``) raises
+:class:`~scalelab.errors.QuantityParseError` naming it, with the same
+message wherever it is given.
 """
 
 from __future__ import annotations
@@ -103,42 +108,57 @@ def _bounded(numerator: int, denominator: int) -> tuple[int, int]:
     """A reduced exponent ``numerator/denominator``, checked against the bound."""
     if abs(numerator) >= _CAPACITY or denominator >= _CAPACITY:
         raise CapacityError(
-            f"rational exponent {_fraction_text(numerator, denominator)} exceeds "
-            f"the supported range (|num|, den < 2^31)"
+            f"rational exponent {_number_text(Fraction(numerator, denominator))} "
+            f"exceeds the supported range (|num|, den < 2^31)"
         )
     return numerator, denominator
 
 
-def _as_exponent(value) -> Fraction:
-    """Coerce an exact rational, rejecting floats (they are not exact)."""
-    if isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise QuantityParseError(f"malformed rational {value!r}") from exc
-    else:
-        raise TypeError(
-            f"dimension exponents must be int, str, or Fraction, not {type(value).__name__}"
-        )
-    _bounded(frac.numerator, frac.denominator)
-    return frac
+# The grammar's ``rational``: the one string form of an exponent.
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def _ratio(value) -> tuple[int, int]:
-    """An exact exponent as a reduced, bounded ``(numerator, denominator)``."""
+    """An exact exponent as a reduced, bounded ``(numerator, denominator)``.
+
+    The exponent is an int, a Fraction, or text in the grammar's
+    ``rational`` form; a float is rejected, as it is not exact.
+    """
     if type(value) is int and -_CAPACITY < value < _CAPACITY:
         return value, 1
-    frac = _as_exponent(value)
-    return frac.numerator, frac.denominator
+    if isinstance(value, str):
+        match = _RATIONAL_RE.fullmatch(value)
+        if not match:
+            raise QuantityParseError(f"malformed exponent {value!r}")
+        try:
+            value = Fraction(int(match[1]), int(match[2] or 1))
+        except ValueError as exc:  # more digits than int() converts
+            raise QuantityParseError(f"malformed rational {value!r}") from exc
+    elif not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"dimension exponents must be int, str, or Fraction, not {type(value).__name__}"
+        )
+    return _bounded(value.numerator, value.denominator)
 
 
-def _fraction_text(numerator: int, denominator: int) -> str:
-    """``n`` or ``n/d`` for a reduced fraction, as ``str(Fraction)`` prints it."""
-    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+def _as_exponent(value) -> Fraction:
+    """An exact exponent, as :func:`_ratio` reads it, as a Fraction; a
+    Fraction comes back as itself, after the bound check alone."""
+    if isinstance(value, Fraction):
+        _bounded(value.numerator, value.denominator)
+        return value
+    return Fraction(*_ratio(value))
+
+
+def _number_text(number) -> str:
+    """``str(number)``; an int or Fraction with more digits than ``str``
+    prints is named by its size instead, as ``<16610-bit integer>``."""
+    try:
+        return str(number)
+    except ValueError:  # past the interpreter's limit on printed digits
+        n, d = number.numerator, number.denominator
+        kind = "integer" if d == 1 else "fraction"
+        return f"<{max(abs(n).bit_length(), d.bit_length())}-bit {kind}>"
 
 
 def _render_monomial(names, exponents, denominator: int = 1) -> str:
@@ -373,9 +393,9 @@ def _as_float(value) -> float:
     try:
         result = float(value)
     except OverflowError:
-        raise DataError(f"number {value} overflows a float") from None
+        raise DataError(f"number {_number_text(value)} overflows a float") from None
     if result == 0 and value != 0:
-        raise DataError(f"number {value} underflows a float to 0")
+        raise DataError(f"number {_number_text(value)} underflows a float to 0")
     return result
 
 
@@ -555,7 +575,7 @@ class UnitRegistry:
         an integral token (``q`` and the unit's denominator 1), else None."""
         symbol, caret, exp_text = token.partition("^")
         unit = self.symbol(symbol)
-        p, q = _parse_rational(exp_text) if caret else (1, 1)
+        p, q = _ratio(exp_text) if caret else (1, 1)
         try:
             factor = unit.scale ** (p / q)
         except OverflowError:  # Unit rejects it, as it rejects a 0 scale
@@ -563,26 +583,11 @@ class UnitRegistry:
         vector = None
         if q == 1 and unit.dimension.denominator == 1:
             vector = tuple([p * n for n in unit.dimension.numerators])
-        text = symbol if p == q else f"{symbol}^{_fraction_text(p, q)}"
+        text = symbol if p == q else f"{symbol}^{Fraction(p, q)}"
         entry = unit, p, q, factor, text, vector
         if len(self._tokens) < _TOKEN_TABLE_SIZE:
             self._tokens[token] = entry
         return entry
-
-
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
-
-
-def _parse_rational(text: str) -> tuple[int, int]:
-    match = _RATIONAL_RE.match(text)
-    if not match:
-        raise QuantityParseError(f"malformed exponent {text!r}")
-    try:
-        numerator, denominator = int(match[1]), int(match[2] or 1)
-    except ValueError as exc:  # more digits than int() converts
-        raise QuantityParseError(f"malformed rational {text!r}") from exc
-    g = math.gcd(numerator, denominator)
-    return _bounded(numerator // g, denominator // g)
 
 
 _NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")

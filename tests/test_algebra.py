@@ -98,6 +98,46 @@ def test_no_parameters_is_an_error():
         solve_target_exponents(LENGTH, [])
 
 
+@pytest.mark.parametrize("empty", [[], (), iter([]), (pair for pair in ())],
+                         ids=["list", "tuple", "iterator", "generator"])
+@pytest.mark.parametrize("derive", [pi_basis, lambda params: solve_target_exponents(LENGTH, params)],
+                         ids=["pi_basis", "solve_target_exponents"])
+def test_an_empty_parameter_list_is_one_error(derive, empty):
+    with pytest.raises(RelationError, match="^at least one quantity is required$"):
+        derive(empty)
+
+
+_PAIRS = "quantities must be (name, Dimension) pairs; got "
+
+
+@pytest.mark.parametrize(
+    "derive, message",
+    [
+        (lambda: pi_basis([("a", "m")]), _PAIRS + "('a', 'm')"),
+        (lambda: pi_basis([("a", LENGTH), ("b", "m")]), _PAIRS + "('b', 'm')"),
+        (lambda: solve_target_exponents(LENGTH, [("a", "m")]), _PAIRS + "('a', 'm')"),
+        (lambda: solve_target_exponents("m", [("a", LENGTH)]),
+         "target 'm' is a str, not a Dimension"),
+        (lambda: pi_basis([("a", LENGTH, 1)]), _PAIRS + f"('a', {LENGTH!r}, 1)"),
+        (lambda: pi_basis([LENGTH]), _PAIRS + repr(LENGTH)),
+        (lambda: pi_basis(iter([("a", LENGTH), LENGTH])), _PAIRS + repr(LENGTH)),
+        (lambda: pi_basis([(["a"], LENGTH)]), _PAIRS + f"(['a'], {LENGTH!r})"),
+        (lambda: pi_basis([("a", [0, 1, 0, 0, 0])]), _PAIRS + "('a', [0, 1, 0, 0, 0])"),
+        (lambda: pi_basis([("a", F(1, 2))]), _PAIRS + "('a', Fraction(1, 2))"),
+        (lambda: pi_basis(None), _PAIRS + "None"),
+        (lambda: solve_target_exponents(LENGTH, 5), _PAIRS + "5"),
+    ],
+    ids=["str-dimension", "second-entry", "solve-str-dimension", "str-target",
+         "triple", "bare-dimension", "bare-dimension-in-iterator", "unhashable-name",
+         "unhashable-dimension", "fraction-dimension", "none", "not-iterable"],
+)
+def test_a_malformed_parameter_list_names_the_entry(derive, message):
+    for _ in range(2):  # an error is not cached: the second call raises it again
+        with pytest.raises(RelationError) as info:
+            derive()
+        assert str(info.value) == message
+
+
 def test_duplicate_parameter_names_rejected():
     # The check runs in the cached elimination; an exception is not cached,
     # so every call raises it again.

@@ -1,11 +1,13 @@
 import math
 import operator
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scalelab.algebra import ScalingRelation, solve_balance
 from scalelab.errors import (
     CapacityError,
     DataError,
@@ -27,8 +29,6 @@ from scalelab.units import (
     Unit,
     UnitRegistry,
     _TOKEN_TABLE_SIZE,
-    _fraction_text,
-    _parse_rational,
     convert,
     default_registry,
     log_ratio,
@@ -186,6 +186,42 @@ def test_reals_inside_the_float_range_become_their_float():
     assert Unit("third", LENGTH, Fraction(1, 3)).scale == 1 / 3
 
 
+# More digits than str() prints by default (4300), so a message names the
+# number by its size: 10**5000 has 16610 bits.
+_HUGE = 10**5000
+_TOO_WIDE = "rational exponent <16610-bit integer> exceeds the supported range (|num|, den < 2^31)"
+_TOO_LARGE = "number <16610-bit integer> overflows a float"
+
+
+@pytest.mark.parametrize(
+    "compute, error, message",
+    [
+        (lambda: Dimension(mass=_HUGE), CapacityError, _TOO_WIDE),
+        (lambda: Dimension(mass=-_HUGE), CapacityError, _TOO_WIDE),
+        (lambda: Dimension(mass=Fraction(1, _HUGE)), CapacityError,
+         "rational exponent <16610-bit fraction> exceeds the supported range (|num|, den < 2^31)"),
+        (lambda: LENGTH ** _HUGE, CapacityError, _TOO_WIDE),
+        (lambda: LENGTH.combine(LENGTH, _HUGE), CapacityError, _TOO_WIDE),
+        (lambda: ScalingRelation("y", {"a": _HUGE}), CapacityError, _TOO_WIDE),
+        (lambda: Quantity(_HUGE, REG.symbol("m")), DataError, _TOO_LARGE),
+        (lambda: Quantity(Fraction(1, _HUGE), REG.symbol("m")), DataError,
+         "number <16610-bit fraction> underflows a float to 0"),
+        (lambda: parse_quantity("2 m") * _HUGE, DataError, _TOO_LARGE),
+        (lambda: parse_quantity("2 m") ** _HUGE, CapacityError, _TOO_WIDE),
+        (lambda: UnitRegistry().register("big", LENGTH, _HUGE), DataError, _TOO_LARGE),
+        (lambda: ScalingRelation("y", {"a": 1}).evaluate({"a": parse_quantity("2 m")}, _HUGE),
+         DataError, f"evaluating 'y ~ a': {_TOO_LARGE}"),
+    ],
+    ids=["dimension", "negative-dimension", "dimension-denominator", "pow", "combine",
+         "relation", "magnitude", "magnitude-denominator", "mul-operand", "quantity-pow",
+         "scale", "prefactor"],
+)
+def test_a_number_too_long_to_print_is_named_by_its_size(compute, error, message):
+    with pytest.raises(error) as info:
+        compute()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # convert
 
@@ -284,6 +320,27 @@ def test_single_symbol_resolves_to_registered_unit():
 # resolve against the token-by-token fold
 
 
+_REFERENCE_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+
+
+def _reference_rational(text: str) -> tuple[int, int]:
+    """The README's ``rational := integer | integer '/' integer``, parsed
+    here on its own rather than by the reader under test."""
+    match = _REFERENCE_RATIONAL.match(text)
+    if not match:
+        raise QuantityParseError(f"malformed exponent {text!r}")
+    try:
+        numerator, denominator = int(match[1]), int(match[2] or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise QuantityParseError(f"malformed rational {text!r}") from exc
+    g = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    if abs(numerator) >= 2**31 or denominator >= 2**31:
+        raise CapacityError(f"rational exponent {Fraction(numerator, denominator)} exceeds "
+                            f"the supported range (|num|, den < 2^31)")
+    return numerator, denominator
+
+
 def _resolve_reference(registry: UnitRegistry, expression: str) -> Unit:
     """The fold ``resolve`` replaced: ``Dimension.combine`` per token, and
     each ``scale ** (p/q)`` multiplied in left to right."""
@@ -296,13 +353,13 @@ def _resolve_reference(registry: UnitRegistry, expression: str) -> Unit:
     for token in tokens:
         symbol, caret, exp_text = token.partition("^")
         unit = registry.symbol(symbol)
-        p, q = _parse_rational(exp_text) if caret else (1, 1)
+        p, q = _reference_rational(exp_text) if caret else (1, 1)
         dim = dim.combine(unit.dimension, Fraction(p, q))
         try:
             scale *= unit.scale ** (p / q)
         except OverflowError:
             scale = math.inf
-        normalized.append(symbol if p == q else f"{symbol}^{_fraction_text(p, q)}")
+        normalized.append(symbol if p == q else f"{symbol}^{Fraction(p, q)}")
     return Unit(" ".join(normalized), dim, scale)
 
 
@@ -334,6 +391,7 @@ _resolve_tokens = st.builds(
 @example("m^1/2 kg m^-1/2")  # a fractional partial sum, then integral tokens
 @example("m^1/2 m^1/2 kg s^-2")  # back to an integral sum, then integral tokens
 @example("   ")
+@example("kg^ 1/2")  # a padded exponent: the token "kg^" has an empty one
 def test_resolve_matches_the_token_fold(expression):
     for _ in range(2):  # the second resolve reads the token table
         assert _resolved(UnitRegistry.resolve, REG, expression) == _resolved(
@@ -382,6 +440,62 @@ def test_resolve_past_the_token_table_cap():
             _resolve_reference, own, expression
         )
     assert len(own._tokens) == _TOKEN_TABLE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# one grammar for every string exponent
+
+def _exponent_outcomes(text: str) -> dict:
+    """Each entry point's reading of ``text`` as an exponent: the Fraction
+    it gives, or the type and message of what it raises."""
+    entry_points = {
+        "Dimension": lambda: Dimension(mass=text).mass,
+        "combine": lambda: DIMENSIONLESS.combine(MASS, text).mass,
+        "pow": lambda: (MASS ** text).mass,
+        "ScalingRelation": lambda: ScalingRelation("y", {"a": text}).exponents.get("a", 0),
+        "solve_balance": lambda: solve_balance({"y": 1}, {"a": text}, "y").exponents.get("a", 0),
+    }
+    if not any(ch.isspace() for ch in text):  # whitespace separates unit tokens
+        entry_points["resolve"] = lambda: REG.resolve(f"kg^{text}").dimension.mass
+    outcomes = {}
+    for name, read in entry_points.items():
+        try:
+            outcomes[name] = Fraction(read())
+        except Exception as exc:  # compared, not handled
+            outcomes[name] = (type(exc), str(exc))
+    return outcomes
+
+
+_reduced_in_bound = st.builds(
+    Fraction, st.integers(-(2**31) + 1, 2**31 - 1), st.integers(1, 2**31 - 1)
+)
+_exponent_texts = st.one_of(
+    _reduced_in_bound.map(str),
+    _reduced_in_bound.map(lambda f: f"{f.numerator}/{f.denominator}"),
+    st.text(st.sampled_from("0123456789+-/ .e_"), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_texts)
+@example("0.5")
+@example("1e3")
+@example(" 1/2")
+@example("1_0")
+@example("1/0")
+@example("+")
+@example("2/4")
+@example("2147483648")
+@example("1e10000000")  # not parsed as a number: rejected at once
+@example("1" * 5000)  # more digits than int() converts
+def test_every_entry_point_reads_one_exponent_grammar(text):
+    outcomes = _exponent_outcomes(text)
+    assert len(set(outcomes.values())) == 1, outcomes
+    try:
+        expected = Fraction(*_reference_rational(text))
+    except (QuantityParseError, CapacityError) as exc:
+        expected = (type(exc), str(exc))
+    assert next(iter(outcomes.values())) == expected
 
 
 # ---------------------------------------------------------------------------

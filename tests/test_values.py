@@ -387,7 +387,7 @@ def _report(prediction):
     [
         (lambda: Dimension(mass=0.5), TypeError,
          "dimension exponents must be int, str, or Fraction, not float"),
-        (lambda: Dimension(time="x"), QuantityParseError, "malformed rational 'x'"),
+        (lambda: Dimension(time="x"), QuantityParseError, "malformed exponent 'x'"),
         (lambda: Dimension(0.5, "x"), TypeError,
          "dimension exponents must be int, str, or Fraction, not float"),
         (lambda: Dimension(length=2**31), CapacityError,
