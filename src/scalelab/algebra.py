@@ -54,6 +54,7 @@ from .units import (
     _as_exponent,
     _as_float,
     _dimension,
+    _number_text,
     _reduced,
     _render_monomial,
     coherent_unit,
@@ -221,7 +222,8 @@ class PiGroup(_Value):
         if not nonzero:
             raise RelationError("a dimensionless group must have a nonzero exponent")
         if math.gcd(*(abs(e) for e in nonzero)) != 1 or nonzero[0] <= 0:
-            raise RelationError(f"exponents {exponents} are not in normalized form")
+            raise RelationError(f"exponents ({', '.join(map(_number_text, exponents))}) "
+                                f"are not in normalized form")
         self.__setstate__((names, exponents))
 
     def render(self) -> str:
@@ -499,5 +501,6 @@ def check_exponent_bound(beta, lower, upper) -> bool:
     compares mixed Fraction/float operands exactly.
     """
     if not lower < upper:
-        raise RelationError(f"bound requires lower < upper, got {lower} and {upper}")
+        raise RelationError(f"bound requires lower < upper, got {_number_text(lower)} "
+                            f"and {_number_text(upper)}")
     return lower < beta < upper

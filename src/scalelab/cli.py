@@ -12,7 +12,11 @@ Quantities on the command line follow the same grammar as everywhere
 else: ``"<number> <unit-expression>"``, e.g. ``--mass "5 kg"``.  Dimension
 arguments for derivations are ``name:<unit-expression>`` with an optional
 magnitude, e.g. ``--params "g:m s^-2,l:m"``; derivations only need the
-dimensions, so magnitudes may be omitted.
+dimensions, so magnitudes may be omitted.  Text after ``name:`` that
+starts with a digit, a sign or a point is read as a quantity, any other as
+a unit expression.  Numbers, there and in ``--prefactor``, are read by the
+one reader of ``units``, so ``a:nan`` names an unknown unit symbol and
+``--prefactor 1_0`` a malformed number (exit 2).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import sys
 from . import casebook
 from .algebra import pi_basis, solve_target_exponents
 from .errors import QuantityParseError, ScaleLabError, UnderdeterminedError
-from .units import Quantity, default_registry, parse_quantity
+from .units import Quantity, _real, default_registry, parse_quantity
 
 # csvio, regression and svgplot import numpy: the handlers that need them
 # import them locally, so derive, pi and predict start without it.
@@ -59,12 +63,9 @@ def _parse_named_dimension(text: str):
         raise QuantityParseError(
             f"expected 'name:unit-expression' or 'name:value unit', got {text!r}"
         )
-    first = rest.split()[0]
-    try:
-        float(first)
-    except ValueError:
-        return name, default_registry().resolve(rest).dimension
-    return name, parse_quantity(rest).dimension
+    if rest[0] in "+-.0123456789":  # a number's first character
+        return name, parse_quantity(rest).dimension
+    return name, default_registry().resolve(rest).dimension
 
 
 def _parse_quantity_list(text: str):
@@ -128,7 +129,7 @@ def _build_parser() -> _Parser:
     blast.add_argument("--obs", action="append", default=[], metavar="'R @ T'",
                        help="observed radius/time pair; repeat to combine")
     blast.add_argument("--rho", default="1.2 kg m^-3", metavar="QTY")
-    blast.add_argument("--prefactor", type=float, default=1.0, metavar="C")
+    blast.add_argument("--prefactor", default="1", metavar="C")
     blast.set_defaults(handler=_cmd_blast)
 
     for case, row in casebook.CASES.items():
@@ -300,7 +301,7 @@ def _report_out(report, as_json: bool) -> int:
 
 
 def _cmd_blast(args) -> int:
-    cfg = casebook.BlastConfig(prefactor=args.prefactor, rho=parse_quantity(args.rho))
+    cfg = casebook.BlastConfig(prefactor=_real(args.prefactor), rho=parse_quantity(args.rho))
     if args.obs:
         if args.energy is not None or args.time is not None:
             raise _UsageError("--obs excludes --energy/--time", "")

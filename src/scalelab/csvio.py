@@ -6,6 +6,12 @@ in the registry; data rows are plain numbers, already expressed in the
 header's unit.  Lines whose first non-blank character is ``#`` are
 comments; blank lines are ignored.  A quantity in a file is therefore
 always a (number, unit) pair, never a bare number.
+
+A data cell is a ``number`` of the :mod:`scalelab.units` grammar, padded
+or not with spaces or tabs, never quoted.  Each line is matched against
+one pattern built from that grammar; a line that fails it is read cell by
+cell through the reader of ``units``, which names a bad cell as it names
+a bad number in a quantity, after ``line N, column 'name':``.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ScaleLabError
 from .regression import DataSet
-from .units import UnitRegistry, _Value, default_registry
+from .units import _NUMBER, UnitRegistry, _real, _Value, default_registry
 
 __all__ = ["CsvSchema", "parse_header", "load_csv", "dump_csv", "save_csv", "atomic_write"]
 
@@ -64,8 +70,9 @@ def _content_lines(text: str):
 def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     """Load a unit-annotated CSV file into a DataSet.
 
-    Any unparseable, non-finite or ragged row aborts the load with its
-    file line number; a file with a header but no data rows is an error.
+    A malformed or ragged row, or a number past the float range, aborts
+    the load with its file line number; a file with a header but no data
+    rows is an error.
     """
     registry = registry or default_registry()
     try:
@@ -82,41 +89,36 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     schema = parse_header(header_cells)
     units = [registry.resolve(expr) for expr in schema.unit_expressions]
 
-    columns: list[list[float]] = [[] for _ in schema.names]
+    names = schema.names
+    row = re.compile(",".join([f"[ \t]*{_NUMBER}[ \t]*"] * len(names)))
+    values: list[float] = []
     for number, line in lines[1:]:
-        cells = next(csv.reader([line]))
-        if len(cells) != len(schema.names):
-            raise DataError(
-                f"line {number}: expected {len(schema.names)} fields, "
-                f"got {len(cells)}"
-            )
-        for index, cell in enumerate(cells):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"line {number}, column {schema.names[index]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
-            columns[index].append(value)
-    if not columns[0]:
+        if not row.fullmatch(line):  # read cell by cell, to name what is wrong
+            cells = line.split(",")
+            if len(cells) != len(names):
+                raise DataError(f"line {number}: expected {len(names)} fields, got {len(cells)}")
+            for name, cell in zip(names, cells):
+                _cell(number, name, cell)
+        values += map(float, line.split(","))
+    if not values:
         raise DataError(f"{path!r} has no data rows")
 
-    arrays = [np.array(values, dtype=float) for values in columns]
-    for name, values in zip(schema.names, arrays):
-        finite = np.isfinite(values)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise DataError(
-                f"line {lines[1 + row][0]}, column {name!r}: "
-                f"{float(values[row])!r} is not a finite number"
-            )
-    return DataSet(
-        {
-            name: (values, unit)
-            for name, values, unit in zip(schema.names, arrays, units)
-        }
-    )
+    table = np.array(values).reshape(-1, len(names))
+    # A cell that reads as 0 or inf may be past the float range: the reader
+    # names it then, and lets a true zero pass.
+    for i, j in np.argwhere((table == 0) | np.isinf(table)):
+        number, line = lines[1 + i]
+        _cell(number, names[j], line.split(",")[j])
+    return DataSet({name: (table[:, j], unit) for j, (name, unit) in enumerate(zip(names, units))})
+
+
+def _cell(number: int, name: str, cell: str) -> float:
+    """A cell, read through ``units``' number reader, whose error names its
+    line and column."""
+    try:
+        return _real(cell.strip(" \t"))
+    except ScaleLabError as exc:
+        raise DataError(f"line {number}, column {name!r}: {exc}") from None
 
 
 def dump_csv(ds: DataSet) -> str:

@@ -45,17 +45,22 @@ fields.  The base stands in for ``dataclasses``, whose import (with
 Unit-expression grammar (used by :func:`parse_quantity` and
 :meth:`UnitRegistry.resolve`)::
 
+    quantity := number ' ' unit
     unit     := symbol ('^' rational)? (' ' unit)*
     rational := integer | integer '/' integer
+    number   := [+-]? (digits ('.' digits?)? | '.' digits) ([eE] [+-]? digits)?
 
 e.g. ``"m s^-2"``, ``"kg m^-3"``, ``"m^5 s^-2"``.  A symbol may itself
 contain ``/`` (the registry ships ``m/s``); the exponent separator is the
-first ``^`` in a token.  ``rational`` is the one string form of every
-exponent: a unit token's, and a string given to :class:`Dimension`,
-:meth:`Dimension.combine`, ``**``, ``ScalingRelation`` or
-``solve_balance``.  Other text (``"0.5"``, ``"1e3"``, ``" 1/2"``) raises
+first ``^`` in a token.  Digits are the ASCII ``0``-``9``.  ``rational``
+is the one string form of every exponent: a unit token's, and a string
+given to :class:`Dimension`, :meth:`Dimension.combine`, ``**``,
+``ScalingRelation`` or ``solve_balance``.  Other text (``"0.5"``,
+``"1e3"``, ``" 1/2"``, ``"２"``) raises
 :class:`~scalelab.errors.QuantityParseError` naming it, with the same
-message wherever it is given.
+message wherever it is given.  ``number`` is likewise the one text form
+of a magnitude, read by :func:`_real` for quantities, CLI arguments and
+CSV cells, so ``"1_0"``, ``"nan"`` and ``"٣"`` are malformed everywhere.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ def _bounded(numerator: int, denominator: int) -> tuple[int, int]:
 
 
 # The grammar's ``rational``: the one string form of an exponent.
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -590,16 +595,38 @@ class UnitRegistry:
         return entry
 
 
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+# The grammar's ``number``: the one text form of a magnitude.  ``csvio``
+# builds its row pattern from it.
+_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+
+
+def _real(text: str, within: str = "") -> float:
+    """The float of ``text``, which must be in the grammar's ``number`` form.
+
+    Other text raises QuantityParseError ``malformed number 'text'``; a
+    number past the float range (``1e400``, or ``1e-400`` rounding to 0)
+    raises DataError ``number 'text' overflows a float`` (or ``underflows a
+    float to 0``).  Given ``within``, each message names it after the
+    number, as ``'text' in 'within'``.
+    """
+    if not _NUMBER_RE.fullmatch(text):
+        raise QuantityParseError(f"malformed number {text!r}{within and f' in {within!r}'}")
+    value = float(text)
+    # A 0 from a mantissa with a nonzero digit is an underflow.
+    if math.isinf(value) or not value and text.lower().partition("e")[0].strip("+-0."):
+        ending = "overflows a float" if value else "underflows a float to 0"
+        raise DataError(f"number {text!r}{within and f' in {within!r}'} {ending}")
+    return value
 
 
 def parse_quantity(text: str, registry: UnitRegistry | None = None) -> Quantity:
     """Parse ``"<number> <unit-expression>"`` into a Quantity.
 
     ``"9.80665 m s^-2"`` resolves to an acceleration; ``"6 knot"`` binds to
-    the registered knot unit and converts on demand.  A number that leaves
-    the float range (``"1e400"``, or ``"1e-400"`` rounding to 0) raises a
-    DataError naming it.
+    the registered knot unit and converts on demand.  The number is read
+    by :func:`_real`, so one out of the float range (``"1e400"``, or
+    ``"1e-400"`` rounding to 0) raises a DataError naming it.
     """
     registry = registry or default_registry()
     stripped = text.strip()
@@ -608,16 +635,7 @@ def parse_quantity(text: str, registry: UnitRegistry | None = None) -> Quantity:
         raise QuantityParseError(
             f"expected '<number> <unit-expression>', got {text!r}"
         )
-    if not _NUMBER_RE.match(number_text):
-        raise QuantityParseError(f"malformed number {number_text!r} in {text!r}")
-    unit = registry.resolve(unit_text.strip())
-    magnitude = float(number_text)
-    # A 0 from a mantissa with a nonzero digit is an underflow.
-    mantissa = number_text.lower().partition("e")[0] if magnitude == 0 else ""
-    if math.isinf(magnitude) or mantissa.strip("+-0."):
-        ending = "overflows a float" if magnitude else "underflows a float to 0"
-        raise DataError(f"number {number_text!r} in {text!r} {ending}")
-    return Quantity(magnitude, unit)
+    return Quantity(_real(number_text, text), registry.resolve(unit_text.strip()))
 
 
 def convert(quantity: Quantity, target: Unit) -> Quantity:

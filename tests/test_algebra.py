@@ -505,6 +505,22 @@ def test_bound_requires_order():
         check_exponent_bound(1, F(1), F(1))
 
 
+@pytest.mark.parametrize(
+    "compute, message",
+    [
+        (lambda: check_exponent_bound(1, 10**5000, 0),
+         "bound requires lower < upper, got <16610-bit integer> and 0"),
+        (lambda: PiGroup(("a",), (2 * 10**5000,)),
+         "exponents (<16611-bit integer>) are not in normalized form"),
+    ],
+    ids=["bound", "pi-group"],
+)
+def test_a_number_too_long_to_print_is_named_by_its_size(compute, message):
+    with pytest.raises(RelationError) as info:
+        compute()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # exactness invariants
 

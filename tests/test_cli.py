@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -7,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalelab.cli import run_command
 from scalelab.csvio import dump_csv, load_csv, parse_header, save_csv
-from scalelab.errors import DataError, UnknownUnitError
+from scalelab.errors import DataError, ScaleLabError, UnknownUnitError
 from scalelab.regression import (
     DataSet,
     ModelSpec,
@@ -19,7 +23,7 @@ from scalelab.regression import (
     fit_quadratic_log,
 )
 from scalelab.svgplot import PlotSpec, emit_svg_plot, plot_maps
-from scalelab.units import default_registry
+from scalelab.units import default_registry, parse_quantity
 
 REG = default_registry()
 DATA_DIR = Path(__file__).parent / "data"
@@ -108,11 +112,90 @@ def test_header_without_unit_rejected(tmp_path):
         load_csv(path)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
-def test_non_finite_cell_reports_line_and_column(tmp_path, cell):
+@pytest.mark.parametrize(
+    "cell, outcome",
+    [
+        ("nan", "malformed number 'nan'"),
+        ("inf", "malformed number 'inf'"),
+        ("-inf", "malformed number '-inf'"),
+        ("NaN", "malformed number 'NaN'"),
+        ("1_0", "malformed number '1_0'"),
+        ("\uff11\uff12", "malformed number '\uff11\uff12'"),  # fullwidth digits
+        ('"1.5"', "malformed number '\"1.5\"'"),  # quoted
+        ("1e400", "number '1e400' overflows a float"),
+        ("1e-400", "number '1e-400' underflows a float to 0"),
+        (" 3\t", 3.0),  # padded with blanks, as parse_quantity strips its text
+        ("0e400", 0.0),  # a true zero
+        ("1e-320", 1e-320),  # subnormal, not 0
+    ],
+    ids=["nan", "inf", "-inf", "NaN", "1_0", "fullwidth", "quoted", "1e400", "1e-400", "padded",
+         "zero", "subnormal"],
+)
+def test_non_finite_cell_reports_line_and_column(tmp_path, cell, outcome):
     path = write(tmp_path, "nonfinite.csv", f"x[m],y[m]\n1,2\n# note\n3,{cell}\n5,6\n")
-    with pytest.raises(DataError, match="line 4, column 'y'.*not a finite number"):
+    if isinstance(outcome, float):
+        assert list(load_csv(path).column("y").values) == [2.0, outcome, 6.0]
+        return
+    with pytest.raises(DataError) as info:
         load_csv(path)
+    assert str(info.value) == f"line 4, column 'y': {outcome}"
+
+
+def _run(argv):
+    """``(exit code, stderr)`` of one command; its stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, err.getvalue()
+
+
+# Digits, sign, point, exponent, underscore and the words float() reads,
+# padded at either end with a blank.
+_number_texts = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " "]),
+        st.lists(st.sampled_from([*"0123456789+-.e_", "nan", "inf"]), min_size=1, max_size=6)
+        .map("".join),
+        st.sampled_from(["", " "]),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_number_texts)
+@example(text="1_0")
+@example(text=" 3 ")
+@example(text="1e400")
+@example(text="1e-400")
+@example(text="1e-320")
+@example(text=".")
+@example(text="+.5")
+@example(text="5.")
+@example(text="\uff11\uff12")  # fullwidth digits
+@example(text="nan")
+@example(text="-inf")
+def test_one_number_text_reads_alike_at_every_entry_point(tmp_path_factory, text):
+    """A quantity, a CLI ``name:`` argument and a CSV cell read one number
+    grammar: a text is accepted everywhere, as one float, or rejected
+    everywhere (exit 2 on the command line) by a message quoting it."""
+    path = tmp_path_factory.mktemp("number") / "cell.csv"
+    path.write_text(f"x[m],y[m]\n1,2\n2,{text}\n3,5\n", encoding="utf-8")
+    derive = _run(["derive", "--target", "y:m", "--params", f"a:{text} m"])
+    fitted = _run(["fit", "--csv", str(path), "--x", "x", "--y", "y"])
+    quoted = repr(text.strip())
+    try:
+        magnitude = parse_quantity(f"{text} m").magnitude
+    except ScaleLabError as exc:
+        assert quoted in str(exc)
+        with pytest.raises(ScaleLabError) as info:
+            load_csv(str(path))
+        assert quoted in str(info.value)
+        assert derive[0] == 2 and quoted in derive[1]
+        assert fitted == (2, f"error: {info.value}\n")
+    else:
+        assert derive == (0, "")
+        assert load_csv(str(path)).column("y").values[1] == magnitude
 
 
 def test_empty_data_rejected(tmp_path):

@@ -121,6 +121,17 @@ def test_parse_malformed_number():
         parse_quantity("3..5 m")
 
 
+@pytest.mark.parametrize(
+    "number", ["\u0663", "\uff11\uff12", "1_0", "nan", "-inf", "Infinity", "0x10", "1e", "."],
+    ids=["arabic-indic", "fullwidth", "underscore", "nan", "inf", "Infinity", "hex", "bare-e",
+         "point"],
+)
+def test_a_number_outside_the_ascii_grammar_is_malformed(number):
+    with pytest.raises(QuantityParseError) as info:
+        parse_quantity(f"{number} m")
+    assert str(info.value) == f"malformed number {number!r} in {number + ' m'!r}"
+
+
 def test_parse_malformed_exponent():
     with pytest.raises(QuantityParseError):
         parse_quantity("3 m^a")
@@ -320,7 +331,7 @@ def test_single_symbol_resolves_to_registered_unit():
 # resolve against the token-by-token fold
 
 
-_REFERENCE_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+_REFERENCE_RATIONAL = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 
 
 def _reference_rational(text: str) -> tuple[int, int]:
@@ -488,6 +499,8 @@ _exponent_texts = st.one_of(
 @example("2147483648")
 @example("1e10000000")  # not parsed as a number: rejected at once
 @example("1" * 5000)  # more digits than int() converts
+@example("\uff12")  # fullwidth 2: digits are ASCII
+@example("\u0663")  # Arabic-Indic 3
 def test_every_entry_point_reads_one_exponent_grammar(text):
     outcomes = _exponent_outcomes(text)
     assert len(set(outcomes.values())) == 1, outcomes
