@@ -30,6 +30,9 @@ from .units import _NUMBER, UnitRegistry, _real, _Value, default_registry
 __all__ = ["CsvSchema", "parse_header", "load_csv", "dump_csv", "save_csv", "atomic_write"]
 
 _HEADER_RE = re.compile(r"^\s*(?P<name>[^\[\]]+?)\s*\[(?P<unit>[^\[\]]+)\]\s*$")
+# A 3-digit negative exponent.  Matching from its "-", a literal, lets a
+# search skip ahead at string speed.
+_TINY_EXPONENT = re.compile(r"-(?<=[eE]-)0*[1-9][0-9]{2}")
 
 
 class CsvSchema(_Value):
@@ -104,9 +107,15 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
         raise DataError(f"{path!r} has no data rows")
 
     table = np.array(values).reshape(-1, len(names))
-    # A cell that reads as 0 or inf may be past the float range: the reader
-    # names it then, and lets a true zero pass.
-    for i, j in np.argwhere((table == 0) | np.isinf(table)):
+    # A cell past the float range reads as inf, or as 0 if it underflows;
+    # the reader re-reads it to name it, and lets a true zero pass.  A 0
+    # can be an underflow only if the file holds a 3-digit negative
+    # exponent or a run of 200 zeros: below 1e-300, a number whose exponent
+    # has at most 2 digits has over 200 zeros before its first other digit.
+    suspect = np.isinf(table)
+    if (table == 0).any() and ("0" * 200 in text or _TINY_EXPONENT.search(text)):
+        suspect |= table == 0
+    for i, j in np.argwhere(suspect).tolist():
         number, line = lines[1 + i]
         _cell(number, names[j], line.split(",")[j])
     return DataSet({name: (table[:, j], unit) for j, (name, unit) in enumerate(zip(names, units))})

@@ -596,8 +596,9 @@ class UnitRegistry:
 
 
 # The grammar's ``number``: the one text form of a magnitude.  ``csvio``
-# builds its row pattern from it.
-_NUMBER = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# builds its row pattern from it.  Each text has one way to match, so a
+# line that fails the row pattern fails in time linear in its length.
+_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _NUMBER_RE = re.compile(_NUMBER)
 
 

@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalelab
 from scalelab.cli import run_command
 from scalelab.csvio import dump_csv, load_csv, parse_header, save_csv
 from scalelab.errors import DataError, ScaleLabError, UnknownUnitError
@@ -125,11 +129,14 @@ def test_header_without_unit_rejected(tmp_path):
         ("1e400", "number '1e400' overflows a float"),
         ("1e-400", "number '1e-400' underflows a float to 0"),
         (" 3\t", 3.0),  # padded with blanks, as parse_quantity strips its text
+        ("1E-0400", "number '1E-0400' underflows a float to 0"),
+        ("0." + "0" * 330 + "1", f"number '0.{'0' * 330}1' underflows a float to 0"),
         ("0e400", 0.0),  # a true zero
+        ("0e-400", 0.0),  # a true zero with a tiny exponent
         ("1e-320", 1e-320),  # subnormal, not 0
     ],
     ids=["nan", "inf", "-inf", "NaN", "1_0", "fullwidth", "quoted", "1e400", "1e-400", "padded",
-         "zero", "subnormal"],
+         "1E-0400", "long-fraction", "zero", "zero-tiny-exponent", "subnormal"],
 )
 def test_non_finite_cell_reports_line_and_column(tmp_path, cell, outcome):
     path = write(tmp_path, "nonfinite.csv", f"x[m],y[m]\n1,2\n# note\n3,{cell}\n5,6\n")
@@ -139,6 +146,41 @@ def test_non_finite_cell_reports_line_and_column(tmp_path, cell, outcome):
     with pytest.raises(DataError) as info:
         load_csv(path)
     assert str(info.value) == f"line 4, column 'y': {outcome}"
+
+
+_LOAD_IN_CHILD = """
+import sys
+from scalelab.csvio import load_csv
+from scalelab.errors import DataError
+try:
+    load_csv(sys.argv[1])
+except DataError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "columns, row, message",
+    [
+        (12, ",".join(["1234567890"] * 11 + ["x"]), "line 2, column 'c11': malformed number 'x'"),
+        (12, ",".join(["1234567890"] * 13), "line 2: expected 12 fields, got 13"),
+        (1, "1" * 10**5 + "x", f"line 2, column 'c0': malformed number '{'1' * 10**5}x'"),
+    ],
+    ids=["bad-last-cell", "one-field-too-many", "long-bad-cell"],
+)
+def test_a_long_row_that_fails_the_pattern_fails_at_once(tmp_path, columns, row, message):
+    """A number text has one way to match the number pattern, so a row that
+    fails it fails in time linear in its length, not after trying every
+    split of its digits.  The load runs in a child process, so a regression
+    ends at the time limit instead of hanging the suite."""
+    header = ",".join(f"c{i}[m]" for i in range(columns))
+    path = write(tmp_path, "long.csv", f"{header}\n{row}\n")
+    env = dict(os.environ)
+    src = str(Path(scalelab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _LOAD_IN_CHILD, path], capture_output=True,
+                           text=True, env=env, timeout=10, check=True)
+    assert child.stdout == message + "\n"
 
 
 def _run(argv):
@@ -169,6 +211,7 @@ _number_texts = st.builds(
 @example(text="1e400")
 @example(text="1e-400")
 @example(text="1e-320")
+@example(text="0." + "0" * 330 + "1")  # underflows with no exponent
 @example(text=".")
 @example(text="+.5")
 @example(text="5.")
