@@ -172,6 +172,7 @@ def _load_with_spec(args):
     parsed_covariates = []
     for item in getattr(args, "covariate", ()):
         name, sep, unit_expr = item.partition(":")
+        name = name.strip()
         unit = registry.resolve(unit_expr) if sep else ds.column(name).unit
         parsed_covariates.append((name, unit))
     spec = ModelSpec(

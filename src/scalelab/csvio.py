@@ -1,11 +1,14 @@
-"""Unit-annotated CSV ingestion and canonical serialization.
+r"""Unit-annotated CSV ingestion and canonical serialization.
 
-Format: UTF-8, comma-separated, decimal point.  The header row names every
-column as ``name[unit]``, where the bracketed unit expression must resolve
-in the registry; data rows are plain numbers, already expressed in the
-header's unit.  Lines whose first non-blank character is ``#`` are
-comments; blank lines are ignored.  A quantity in a file is therefore
-always a (number, unit) pair, never a bare number.
+Format: UTF-8, decimal point.  Lines end at ``\n``, ``\r\n`` or ``\r``
+only (a form feed or U+2028 is a character of its line), and every line,
+the header too, splits into cells at each comma; no quote is stripped.
+The header row names every column as ``name[unit]``, where the bracketed
+unit expression must resolve in the registry; data rows are plain
+numbers, already expressed in the header's unit.  Lines whose first
+non-blank character is ``#`` are comments; blank lines are ignored.  A
+quantity in a file is therefore always a (number, unit) pair, never a
+bare number.
 
 A data cell is a ``number`` of the :mod:`scalelab.units` grammar, padded
 or not with spaces or tabs, never quoted.  Each line is matched against
@@ -16,7 +19,6 @@ a bad number in a quantity, after ``line N, column 'name':``.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 import tempfile
@@ -61,15 +63,6 @@ def parse_header(cells: list[str]) -> CsvSchema:
     return CsvSchema(tuple(names), tuple(units))
 
 
-def _content_lines(text: str):
-    """Yield (file_line_number, line) for non-comment, non-blank lines."""
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield number, line
-
-
 def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     """Load a unit-annotated CSV file into a DataSet.
 
@@ -84,15 +77,16 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
 
-    lines = list(_content_lines(text))
+    lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1)
+             if (stripped := line.strip()) and stripped[0] != "#"]
     if not lines:
         raise DataError(f"{path!r} has no header row")
 
-    header_cells = next(csv.reader([lines[0][1]]))
-    schema = parse_header(header_cells)
+    schema = parse_header(lines[0][1].split(","))
     units = [registry.resolve(expr) for expr in schema.unit_expressions]
 
     names = schema.names
+    # Padding is [ \t], not \s: \s also matches \x1c-\x1f, which float() rejects.
     row = re.compile(",".join([f"[ \t]*{_NUMBER}[ \t]*"] * len(names)))
     values: list[float] = []
     for number, line in lines[1:]:

@@ -45,10 +45,11 @@ fields.  The base stands in for ``dataclasses``, whose import (with
 Unit-expression grammar (used by :func:`parse_quantity` and
 :meth:`UnitRegistry.resolve`)::
 
-    quantity := number ' ' unit
-    unit     := symbol ('^' rational)? (' ' unit)*
+    quantity := number ws unit
+    unit     := symbol ('^' rational)? (ws unit)*
     rational := integer | integer '/' integer
     number   := [+-]? (digits ('.' digits?)? | '.' digits) ([eE] [+-]? digits)?
+    ws       := a run of whitespace, as str.split() reads it
 
 e.g. ``"m s^-2"``, ``"kg m^-3"``, ``"m^5 s^-2"``.  A symbol may itself
 contain ``/`` (the registry ships ``m/s``); the exponent separator is the
@@ -630,13 +631,12 @@ def parse_quantity(text: str, registry: UnitRegistry | None = None) -> Quantity:
     ``"1e-400"`` rounding to 0) raises a DataError naming it.
     """
     registry = registry or default_registry()
-    stripped = text.strip()
-    number_text, _, unit_text = stripped.partition(" ")
-    if not unit_text.strip():
+    words = text.split(None, 1)
+    if len(words) < 2:
         raise QuantityParseError(
             f"expected '<number> <unit-expression>', got {text!r}"
         )
-    return Quantity(_real(number_text, text), registry.resolve(unit_text.strip()))
+    return Quantity(_real(words[0], text), registry.resolve(words[1]))
 
 
 def convert(quantity: Quantity, target: Unit) -> Quantity:

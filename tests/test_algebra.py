@@ -59,7 +59,7 @@ def test_blast_wave_exponents():
         LENGTH, [("E", ENERGY), ("rho", DENSITY), ("t", TIME)], target_name="r"
     )
     assert rel.exponents == {"E": F(1, 5), "rho": F(-1, 5), "t": F(2, 5)}
-    assert rel.render() == "r ~ E^1/5 rho^-1/5 t^2/5"
+    assert str(rel) == rel.render() == "r ~ E^1/5 rho^-1/5 t^2/5"
 
 
 def test_diffusion_time_exponents():
@@ -201,7 +201,7 @@ def test_blast_group_in_conventional_order():
     )
     assert len(groups) == 1
     assert groups[0].exponents == (1, 2, -1, -5)
-    assert groups[0].render() == "pi: E t^2 rho^-1 r^-5"
+    assert str(groups[0]) == groups[0].render() == "pi: E t^2 rho^-1 r^-5"
 
 
 def test_blast_group_alternate_order_is_the_reciprocal():

@@ -56,7 +56,7 @@ def test_load_well_formed(tmp_path):
         "length[ft],price[GBP],age[yr]\n30,50000,5\n40,120000,2\n25,30000,12\n",
     )
     ds = load_csv(path)
-    assert ds.n == 3
+    assert len(ds) == ds.n == 3
     assert ds.names == ("length", "price", "age")
     assert ds.column("length").unit.symbol == "ft"
     assert list(ds.column("price").values) == [50000.0, 120000.0, 30000.0]
@@ -116,6 +116,11 @@ def test_header_without_unit_rejected(tmp_path):
         load_csv(path)
 
 
+# Characters that str.splitlines() also reads as line ends; open() ends a
+# line only at \n, \r\n or \r.
+_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @pytest.mark.parametrize(
     "cell, outcome",
     [
@@ -134,9 +139,11 @@ def test_header_without_unit_rejected(tmp_path):
         ("0e400", 0.0),  # a true zero
         ("0e-400", 0.0),  # a true zero with a tiny exponent
         ("1e-320", 1e-320),  # subnormal, not 0
+        *[("3" + char, f"malformed number {'3' + char!r}") for char in _NOT_LINE_ENDS],
     ],
     ids=["nan", "inf", "-inf", "NaN", "1_0", "fullwidth", "quoted", "1e400", "1e-400", "padded",
-         "1E-0400", "long-fraction", "zero", "zero-tiny-exponent", "subnormal"],
+         "1E-0400", "long-fraction", "zero", "zero-tiny-exponent", "subnormal",
+         *(f"3{char!r}" for char in _NOT_LINE_ENDS)],
 )
 def test_non_finite_cell_reports_line_and_column(tmp_path, cell, outcome):
     path = write(tmp_path, "nonfinite.csv", f"x[m],y[m]\n1,2\n# note\n3,{cell}\n5,6\n")
@@ -239,6 +246,46 @@ def test_one_number_text_reads_alike_at_every_entry_point(tmp_path_factory, text
     else:
         assert derive == (0, "")
         assert load_csv(str(path)).column("y").values[1] == magnitude
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=repr)
+def test_a_character_that_is_no_line_end_leaves_later_line_numbers_true(tmp_path, char):
+    path = write(tmp_path, "comment.csv", f"x[m],y[m]\n# note{char}more\n1,2\n3,1_0\n")
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value) == "line 4, column 'y': malformed number '1_0'"
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=repr)
+def test_crlf_and_cr_line_ends_keep_line_numbers(tmp_path, end):
+    good = tmp_path / "good.csv"
+    good.write_bytes("x[m],y[m]\n# c\n1,2\n3,4\n".replace("\n", end).encode())
+    assert dump_csv(load_csv(str(good))) == "x[m],y[m]\n1.0,2.0\n3.0,4.0\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes("x[m],y[m]\n# c\n1,2\n3,1_0\n".replace("\n", end).encode())
+    with pytest.raises(DataError) as info:
+        load_csv(str(bad))
+    assert str(info.value) == "line 4, column 'y': malformed number '1_0'"
+
+
+def test_header_cells_split_at_every_comma_and_keep_their_quotes(tmp_path):
+    path = write(tmp_path, "quoted.csv", '"x[m]",y[m]\n1,2\n')
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value) == "header cell '\"x[m]\"' does not match 'name[unit]'"
+
+
+@pytest.mark.parametrize("ws", ["\t", "\xa0", "   "], ids=repr)
+def test_any_run_of_whitespace_separates_number_and_unit(capsys, ws):
+    """A tab, a no-break space or several spaces between a quantity's
+    number and unit read as one space, as they do between unit tokens."""
+    assert parse_quantity(f"3{ws}m") == parse_quantity("3 m")
+    outputs = []
+    for sep in (" ", ws):
+        assert run_command(["derive", "--target", "y:m", "--params", f"a:3{sep}m"]) == 0
+        assert run_command(["predict", "hull", "--length", f"30{sep}ft", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_empty_data_rejected(tmp_path):
@@ -573,6 +620,15 @@ def test_fit_command_covariate_with_explicit_reference(capsys):
         in_years["delta[age]"], rel=1e-9
     )
     assert in_hours["beta"] == pytest.approx(in_years["beta"], rel=1e-12)
+
+
+def test_fit_command_covariate_name_and_unit_may_be_padded(capsys):
+    base = ["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length",
+            "--y", "price", "--json"]
+    assert run_command(base + ["--covariate", "age:yr"]) == 0
+    plain = capsys.readouterr().out
+    assert run_command(base + ["--covariate", "age : yr"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_fit_command_quadratic_with_covariate_json(capsys):
