@@ -4,24 +4,25 @@ Solves for the unique exponent combination that builds a target dimension
 from a parameter list, computes bases of dimensionless groups, and solves
 and chains monomial scaling relations.  No floating point is involved in
 a derivation (only :meth:`ScalingRelation.evaluate` touches magnitudes):
-the elimination is fraction-free (Bareiss) over the integer numerators
-that each :class:`~scalelab.units.Dimension` stores, scaled to one common
-denominator for the whole matrix; back-substitution keeps its solution as
-integers over one common denominator, and the substitution check is one
+the elimination is fraction-free over the integer numerators that each
+:class:`~scalelab.units.Dimension` stores, scaled to one common
+denominator for the whole matrix, and the substitution check is one
 integer matrix-vector product.
 
 Both derivations read one elimination of the parameter matrix ``A``, kept
 per parameter list in a small cache, so solving for a target and
 computing the groups of the same parameters eliminate ``A`` once.  The
-elimination records each pivot step (row swap, pivot, previous pivot,
-multipliers); a target column ``t`` is reduced through those steps, the
-integer arithmetic Bareiss applies to the last column of ``[A | t]``.  If
-the reduced ``t`` is nonzero below the rank the target is impossible; if
-the rank is below ``n`` there are ``n - rank`` free directions; otherwise
-fixing the target's exponent at -1 and back-substituting leaves the
-unique exponents ``x`` of ``A x = t``.  Groups back-substitute with one
-free column at a time fixed at 1.  Only the elimination is cached: every
-answer is built and checked by substitution on each call.
+elimination is Gauss-Jordan with the Bareiss update: it ends in a reduced
+echelon form whose pivots all equal the last pivot ``d``, and it records
+each pivot step (row swap, pivot, previous pivot, multipliers) so that a
+target column ``t`` is reduced by the same integer arithmetic.  If the
+reduced ``t`` is nonzero below the rank the target is impossible; if the
+rank is below ``n`` there are ``n - rank`` free directions; otherwise the
+unique exponents of ``A x = t`` are the reduced ``t`` over ``d``.  The
+group of a free column ``f`` is read off the echelon in the same way:
+``x_f = d``, and each pivot variable is minus its row's entry in column
+``f``.  Only the elimination is cached: every answer is built and checked
+by substitution on each call.
 
 Everything here is a pure function over immutable values; the caches
 (elimination per parameter list, evaluation plan per relation shape) are
@@ -235,20 +236,30 @@ class PiGroup(_Value):
 
 @functools.lru_cache(maxsize=64)
 def _elimination(params: tuple[tuple[str, tuple[int, ...], int], ...]):
-    """Bareiss fraction-free elimination of one parameter list.
+    """Fraction-free Gauss-Jordan elimination of one parameter list.
 
     ``params`` holds each quantity's name and its Dimension's numerators
     and denominator, one column per quantity; a repeated name raises
-    :class:`RelationError`.  Row ``r`` of the integer matrix holds ``d``
-    times each column's exponent of base dimension ``r``, ``d`` the lcm of
-    the denominators; one factor for the whole matrix leaves its row space
-    and null space as they are.  Pivot columns are chosen left to right.
+    :class:`RelationError`.  Row ``r`` of the integer matrix holds
+    ``common`` times each column's exponent of base dimension ``r``,
+    ``common`` the lcm of the denominators; one factor for the whole
+    matrix leaves its row space and null space as they are.  Pivot columns
+    are chosen left to right.
 
-    Returns ``(names, rows, d, echelon, pivots, steps)``: the names, the
-    scaled rows, ``d``, the echelon rows, the pivot column indices, and per
-    pivot the step ``(swap, pivot, previous pivot, multipliers)`` that
-    :func:`_reduce_column` replays on another column.  Every part is an
-    immutable tuple.
+    Each pivot step applies the Bareiss update
+    ``row[j] = (pivot * row[j] - m * top[j]) // prev`` to every other row,
+    above the pivot row as well as below, ``m`` being that row's entry in
+    the pivot column; every division is exact.  At the end each pivot
+    column is zero but for its pivot, and every pivot equals the last one,
+    ``d`` (1 when there is none).
+
+    Returns ``(names, rows, common, echelon, pivots, d, steps)``: the
+    names, the scaled rows, ``common``, the reduced echelon rows, the
+    pivot column indices, ``d``, and per pivot the step ``(swap, pivot,
+    previous pivot, multipliers)`` that :func:`_reduce_column` replays on
+    another column, the multipliers as ``(row index, m)`` pairs; a row the
+    update leaves as it is (``m`` 0 and ``pivot == prev``) has no pair.
+    Every part is an immutable tuple.
     """
     names = [name for name, _, _ in params]
     if len(set(names)) != len(names):
@@ -259,12 +270,11 @@ def _elimination(params: tuple[tuple[str, tuple[int, ...], int], ...]):
         for _, nums, d in params
     ]))
     matrix = [list(row) for row in rows]
-    n_rows, n_cols = len(matrix), len(params)
     pivots, steps = [], []
     prev = 1
-    r = 0
-    for c in range(n_cols):
-        for swap in range(r, n_rows):
+    for c in range(len(params)):
+        r = len(pivots)
+        for swap in range(r, len(matrix)):
             if matrix[swap][c]:
                 break
         else:
@@ -273,17 +283,17 @@ def _elimination(params: tuple[tuple[str, tuple[int, ...], int], ...]):
         top = matrix[r]
         pivot = top[c]
         multipliers = []
-        for row in matrix[r + 1:]:
+        for i, row in enumerate(matrix):
             m = row[c]
-            multipliers.append(m)
-            for j in range(c + 1, n_cols):
-                row[j] = (pivot * row[j] - m * top[j]) // prev
-            row[c] = 0
+            if i != r and (m or pivot != prev):  # else the update leaves the row as it is
+                multipliers.append((i, m))
+                if m or any(row):  # a zero row stays zero
+                    matrix[i] = [(pivot * a - m * b) // prev for a, b in zip(row, top)]
         steps.append((swap, pivot, prev, tuple(multipliers)))
         prev = pivot
         pivots.append(c)
-        r += 1
-    return tuple(names), rows, common, tuple(map(tuple, matrix)), tuple(pivots), tuple(steps)
+    return (tuple(names), rows, common, tuple(map(tuple, matrix)), tuple(pivots), prev,
+            tuple(steps))
 
 
 def _eliminated(params):
@@ -311,44 +321,13 @@ def _eliminated(params):
 
 def _reduce_column(steps, column: list[int]) -> list[int]:
     """``column`` (modified in place) taken through the recorded pivot
-    steps, as Bareiss reduces the last column of ``[A | column]``."""
+    steps, as the elimination reduces the last column of ``[A | column]``."""
     for r, (swap, pivot, prev, multipliers) in enumerate(steps):
         column[r], column[swap] = column[swap], column[r]
         top = column[r]
-        for i, m in enumerate(multipliers, r + 1):
+        for i, m in multipliers:
             column[i] = (pivot * column[i] - m * top) // prev
     return column
-
-
-def _back_substitute(
-    echelon: Sequence[Sequence[int]], pivots: Sequence[int], free_values: Mapping[int, int]
-) -> tuple[list[int], int]:
-    """Solve for the pivot variables given integer values of the free ones.
-
-    Returns the solution as integers over one positive common denominator.
-    Free columns missing from ``free_values`` are fixed at 0.
-    """
-    n_cols = len(echelon[0])
-    solution = [0] * n_cols
-    for col, value in free_values.items():
-        solution[col] = value
-    denominator = 1
-    for row_index in range(len(pivots) - 1, -1, -1):
-        pivot_col = pivots[row_index]
-        row = echelon[row_index]
-        # Left of its pivot the row is 0, and the pivot's own entry of the
-        # solution is still 0: the dot product is the sum right of the pivot.
-        acc = sum(map(mul, row, solution))
-        # pivot * x = -acc / denominator: scale every entry by pivot / g.
-        g = math.gcd(row[pivot_col], acc)
-        scale, value = row[pivot_col] // g, -acc // g
-        if scale < 0:
-            scale, value = -scale, -value
-        if scale != 1:
-            solution = [v * scale for v in solution]
-            denominator *= scale
-        solution[pivot_col] = value
-    return solution, denominator
 
 
 def _product(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> list[int]:
@@ -374,7 +353,7 @@ def solve_target_exponents(
     """
     if not isinstance(target, Dimension):
         raise RelationError(f"target {target!r} is a {type(target).__name__}, not a Dimension")
-    names, rows, common, echelon, pivots, steps = _eliminated(params)
+    names, rows, common, _, pivots, last, steps = _eliminated(params)
     n = len(names)
     # rows is common * A.  With c = scale * common the lcm of common and
     # the target's denominator, c * t is integral, and rows y = c * t is
@@ -390,16 +369,18 @@ def solve_target_exponents(
         )
     if len(pivots) < n:
         raise UnderdeterminedError(n - len(pivots))
-    augmented = [row + (value,) for row, value in zip(echelon, reduced)]
-    solution, denominator = _back_substitute(augmented, pivots, {n: -1})
-    total = _product(rows, solution[:n])
-    if total != [denominator * v for v in column]:
+    # Full rank: pivot i sits in column i, so d y_i = reduced[i].
+    if last < 0:
+        last, reduced = -last, [-v for v in reduced]
+    solution = reduced[:n]
+    total = _product(rows, solution)
+    if total != [last * v for v in column]:
         raise DerivationError(
             f"internal check failed: substitution gives "
-            f"[{_dimension(*_reduced(tuple(total), common * scale * denominator))}], "
+            f"[{_dimension(*_reduced(tuple(total), common * scale * last))}], "
             f"expected [{target}]"
         )
-    denominator *= scale
+    denominator = last * scale
     return ScalingRelation(
         target_name,
         {name: Fraction(v, denominator) for name, v in zip(names, solution)},
@@ -407,12 +388,13 @@ def solve_target_exponents(
 
 
 def _normalize_group(vector: Sequence[int]) -> tuple[int, ...]:
-    # No gcd to divide out: _back_substitute, from one free column at 1,
-    # returns a primitive vector.  Each step scales a primitive vector by
-    # pivot/g and sets one entry to -acc/g, coprime to that scale, so the
-    # result stays primitive.  PiGroup still rejects a vector that is not.
-    sign = -1 if next(v for v in vector if v != 0) < 0 else 1
-    return tuple(sign * v for v in vector)
+    # The read-off vector has d at its free column and the echelon entries
+    # elsewhere, which can share a factor: divide out the gcd, with the
+    # sign that makes the first nonzero entry positive.
+    g = math.gcd(*vector)
+    if next(v for v in vector if v != 0) < 0:
+        g = -g
+    return tuple([v // g for v in vector])
 
 
 def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
@@ -425,11 +407,15 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
     deterministic.  A list that is empty or not ``(name, Dimension)``
     pairs raises :class:`RelationError`.
     """
-    names, rows, common, echelon, pivots, _ = _eliminated(quantities)
+    names, rows, common, echelon, pivots, last, _ = _eliminated(quantities)
     basis = []
     for free in (c for c in range(len(names)) if c not in pivots):
-        solution, _ = _back_substitute(echelon, pivots, {free: 1})
-        group = PiGroup(names, _normalize_group(solution))
+        # d x_c + row[free] x_free = 0 for each pivot row: x_free = d.
+        vector = [0] * len(names)
+        vector[free] = last
+        for row, c in zip(echelon, pivots):
+            vector[c] = -row[free]
+        group = PiGroup(names, _normalize_group(vector))
         total = _product(rows, group.exponents)
         if any(total):
             raise DerivationError(

@@ -167,8 +167,9 @@ def _load_with_spec(args):
 
     registry = default_registry()
     ds = load_csv(args.csv)
-    x0 = registry.resolve(args.x0) if args.x0 else ds.column(args.x).unit
-    y0 = registry.resolve(args.y0) if args.y0 else ds.column(args.y).unit
+    x, y = args.x.strip(), args.y.strip()
+    x0 = registry.resolve(args.x0) if args.x0 else ds.column(x).unit
+    y0 = registry.resolve(args.y0) if args.y0 else ds.column(y).unit
     parsed_covariates = []
     for item in getattr(args, "covariate", ()):
         name, sep, unit_expr = item.partition(":")
@@ -176,9 +177,9 @@ def _load_with_spec(args):
         unit = registry.resolve(unit_expr) if sep else ds.column(name).unit
         parsed_covariates.append((name, unit))
     spec = ModelSpec(
-        response=args.y,
+        response=y,
         response_reference=y0,
-        predictor=args.x,
+        predictor=x,
         predictor_reference=x0,
         include_quadratic=getattr(args, "quadratic", False),
         covariates=tuple(parsed_covariates),

@@ -352,8 +352,14 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     not logged, so each fitted coefficient is an exponential rate per
     covariate unit: the model is
     ``y ~ x^beta * exp(delta * c/c0) * ...``.  A covariate column that is
-    identically zero is dropped and listed in ``dropped_covariates``.
+    identically zero is dropped and listed in ``dropped_covariates``.  A
+    response column that is also the predictor or a covariate raises
+    :class:`DataError`: a column regressed on itself fits perfectly.
     """
+    if spec.response == spec.predictor:
+        raise DataError(f"column {spec.response!r} is both the response and the predictor")
+    if any(name == spec.response for name, _ in spec.covariates):
+        raise DataError(f"column {spec.response!r} is both the response and a covariate")
     y = _log_ratio_column(ds, spec.response, spec.response_reference, "response")
     u = _log_ratio_column(ds, spec.predictor, spec.predictor_reference, "predictor")
     if np.ptp(u) == 0:

@@ -167,29 +167,61 @@ def test_impossible_takes_precedence_over_underdetermined():
             lambda: solve_target_exponents(
                 VELOCITY, [("g", GRAVITY), ("l", LENGTH)], target_name="v"
             ),
-            "substitution gives [L^3 T^-3], expected [L T^-1]",
+            "substitution gives [L T^-2], expected [L T^-1]",
         ),
         (
             lambda: pi_basis(
                 [("r", LENGTH), ("E", ENERGY), ("rho", DENSITY), ("t", TIME)]
             ),
-            "group pi: r^3 E^-3 rho^-1 t^-4 has dimension [M^-4 T^2]",
+            "group pi: r^3 rho t^-1 has dimension [M T^-1]",
         ),
     ],
     ids=["solve_target_exponents", "pi_basis"],
 )
-def test_wrong_back_substitution_fails_the_internal_check(monkeypatch, derive, message):
+def test_a_wrong_elimination_fails_the_internal_check(monkeypatch, derive, message):
     derive()  # the unpatched path passes its own check
-    real = algebra._back_substitute
+    real = algebra._elimination
 
-    def off_by_one(*args):
-        # The solution is integers over a common denominator: add 1 to each.
-        solution, denominator = real(*args)
-        return [x + denominator for x in solution], denominator
+    def off_by_one(key):
+        # Add 1 to each nonzero multiplier of the first step, which a target
+        # column replays (here the target stays in the span), and to every
+        # echelon entry, which the groups are read off.
+        names, rows, common, echelon, pivots, last, steps = real(key)
+        (swap, pivot, prev, multipliers), *rest = steps
+        multipliers = tuple([(i, m + 1 if m else 0) for i, m in multipliers])
+        steps = ((swap, pivot, prev, multipliers), *rest)
+        echelon = tuple([tuple([v + 1 for v in row]) for row in echelon])
+        return names, rows, common, echelon, pivots, last, steps
 
-    monkeypatch.setattr(algebra, "_back_substitute", off_by_one)
+    monkeypatch.setattr(algebra, "_elimination", off_by_one)
     with pytest.raises(DerivationError, match=f"^internal check failed: {re.escape(message)}$"):
         derive()
+
+
+KEPLER_G = Dimension(mass=F(-1), length=F(3), time=F(-2))  # the gravitational constant
+
+
+def test_a_negative_last_pivot_is_read_with_its_sign():
+    # G's mass exponent -1 is the first pivot, and every pivot ends as the
+    # last one, -2: the answers are the reduced column over it, negated.
+    params = [("G", KEPLER_G), ("M", MASS), ("a", LENGTH)]
+    assert algebra._eliminated(params)[5] == -2
+    assert solve_target_exponents(TIME, params, "T") == ScalingRelation(
+        "T", {"G": "-1/2", "M": "-1/2", "a": "3/2"}
+    )
+    # With the period as a fourth quantity its column is free: x_T = -2,
+    # and the group read off is (-1, -1, 3, -2), sign-normalised.
+    groups = pi_basis(params + [("T", TIME)])
+    assert [g.exponents for g in groups] == [(1, 1, -3, 2)]
+    assert groups[0].render() == "pi: G M a^-3 T^2"
+
+
+def test_a_read_off_group_has_its_gcd_divided_out():
+    # An area's pivot is 2, so the second moment of area (L^4) reads off
+    # as x_I = 2, x_A = -4: the group is (2, -1) once the 2 is divided out.
+    params = [("A", Dimension(length=F(2))), ("I", Dimension(length=F(4)))]
+    assert algebra._eliminated(params)[3][0] == (2, 4)
+    assert [g.exponents for g in pi_basis(params)] == [(2, -1)]
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,10 @@ def test_fit_command_covariate_name_and_unit_may_be_padded(capsys):
     plain = capsys.readouterr().out
     assert run_command(base + ["--covariate", "age : yr"]) == 0
     assert capsys.readouterr().out == plain
+    padded = base + ["--covariate", "age:yr"]
+    padded[padded.index("length")] = " length"
+    assert run_command(padded) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_fit_command_quadratic_with_covariate_json(capsys):
@@ -654,6 +658,30 @@ def test_fit_command_data_error_exits_2(tmp_path, capsys):
     path = write(tmp_path, "neg.csv", "x[m],y[m]\n1,1\n2,-4\n4,16\n")
     assert run_command(["fit", "--csv", path, "--x", "x", "--y", "y"]) == 2
     assert "row 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,argv,role",
+    [
+        (["fit"], ["--x", "price", "--y", "price"], "the predictor"),
+        (["fit"], ["--x", "length", "--y", "price", "--covariate", "price"], "a covariate"),
+        (["diagnose", "residuals"], ["--x", "price", "--y", " price", "--row", "0", "--row", "1"],
+         "the predictor"),
+    ],
+    ids=["predictor", "covariate", "residuals-padded"],
+)
+def test_response_reused_in_the_design_exits_2(command, argv, role, capsys):
+    path = str(DATA_DIR / "yacht.csv")
+    assert run_command([*command, "--csv", path, *argv]) == 2
+    assert capsys.readouterr().err == f"error: column 'price' is both the response and {role}\n"
+
+
+def test_plot_without_a_fit_may_use_one_column_twice(tmp_path, capsys):
+    out = tmp_path / "p.svg"
+    code = run_command(["plot", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "price",
+                        "--y", "price", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().count("<circle") == 80
 
 
 def test_fit_command_non_finite_covariate_exits_2(tmp_path, capsys):

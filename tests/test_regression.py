@@ -109,6 +109,22 @@ def test_fit_power_law_rejects_extended_specs():
         )
 
 
+@pytest.mark.parametrize(
+    "spec,role",
+    [
+        (plain_spec(predictor="y"), "the predictor"),
+        (plain_spec(covariates=(("x", M), ("y", M))), "a covariate"),
+    ],
+    ids=["predictor", "covariate"],
+)
+def test_response_reused_in_the_design_is_named(spec, role):
+    # Regressed on itself the response fits perfectly: r_squared 1, beta 1.
+    x = np.array([1.0, 2.0, 4.0, 8.0])
+    with pytest.raises(DataError) as info:
+        fit(power_law_dataset(x, x * x), spec)
+    assert str(info.value) == f"column 'y' is both the response and {role}"
+
+
 def test_incommensurable_reference_unit():
     x = np.array([1.0, 2.0, 4.0])
     with pytest.raises(DimensionMismatchError):
