@@ -370,9 +370,9 @@ def solve_target_exponents(
     if len(pivots) < n:
         raise UnderdeterminedError(n - len(pivots))
     # Full rank: pivot i sits in column i, so d y_i = reduced[i].
-    if last < 0:
-        last, reduced = -last, [-v for v in reduced]
     solution = reduced[:n]
+    if last < 0:
+        last, solution = -last, [-v for v in solution]
     total = _product(rows, solution)
     if total != [last * v for v in column]:
         raise DerivationError(
