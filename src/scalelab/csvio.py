@@ -74,7 +74,7 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
 
     lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1)

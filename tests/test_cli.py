@@ -1,10 +1,10 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 import warnings
@@ -31,6 +31,15 @@ from scalelab.units import default_registry, parse_quantity
 
 REG = default_registry()
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def child_env():
+    """This process's environment, with the package's ``src`` first on
+    PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(scalelab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write(tmp_path, name, text):
@@ -182,11 +191,8 @@ def test_a_long_row_that_fails_the_pattern_fails_at_once(tmp_path, columns, row,
     ends at the time limit instead of hanging the suite."""
     header = ",".join(f"c{i}[m]" for i in range(columns))
     path = write(tmp_path, "long.csv", f"{header}\n{row}\n")
-    env = dict(os.environ)
-    src = str(Path(scalelab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run([sys.executable, "-c", _LOAD_IN_CHILD, path], capture_output=True,
-                           text=True, env=env, timeout=10, check=True)
+                           text=True, env=child_env(), timeout=10, check=True)
     assert child.stdout == message + "\n"
 
 
@@ -423,42 +429,6 @@ def test_parabola_polyline_vertex():
 # ---------------------------------------------------------------------------
 # run_command
 
-def test_derive_command(capsys):
-    code = run_command(
-        ["derive", "--target", "v:m s^-1", "--params", "g:m s^-2,l:m"]
-    )
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "v ~ g^1/2 l^1/2"
-
-
-def test_derive_underdetermined_prints_pi_diagnosis(capsys):
-    code = run_command(
-        ["derive", "--target", "v:m s^-1", "--params", "g:m s^-2,l:m,lambda:m"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "underdetermined: 1 free direction(s)" in out
-    assert "pi: l lambda^-1" in out
-
-
-def test_derive_impossible_target_exits_2(capsys):
-    code = run_command(["derive", "--target", "E:J", "--params", "l:m,t:s"])
-    assert code == 2
-    assert "impossible" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("exponent", ["100", "-100"])
-def test_derive_unit_scale_out_of_float_range_exits_2(exponent, capsys):
-    # yr^100 overflows a float and yr^-100 underflows to 0; neither is a scale.
-    code = run_command(["derive", "--target", "y:m", "--params", f"a:yr^{exponent}"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: unit 'yr^{exponent}' must have a positive finite scale\n"
-    )
-
-
 def test_internal_error_is_one_line_and_exit_3(monkeypatch, capsys):
     import scalelab.casebook as casebook
 
@@ -501,32 +471,102 @@ def test_case_report_is_looked_up_when_the_command_runs(argv, monkeypatch, capsy
     assert capsys.readouterr().out == expected
 
 
-def usage_transcript():
-    """``(argv, exit code, text)`` per entry of ``data/cli_usage.txt``.
-
-    Each entry is a ``$ scalelab ...`` line, a ``? <code>`` line and the
-    exact output at 80 columns: stdout when the exit code is 0, stderr
-    otherwise, and the other stream must be empty.  The file covers
-    ``--help`` and a usage error (exit 1) for the top-level parser and every
-    subcommand, and, for each worked case, a text run, a ``--json`` run and
-    inputs of the wrong dimension or sign (exit 2).  Edit it by hand when an
-    output changes on purpose.
-    """
-    text = (DATA_DIR / "cli_usage.txt").read_text(encoding="utf-8")
-    entries = []
-    for chunk in re.split(r"^\$ ", text, flags=re.MULTILINE)[1:]:
-        command, status, body = chunk.split("\n", 2)
-        entries.append(pytest.param(shlex.split(command)[1:], int(status[2:]), body,
-                                    id=command))
-    return entries
+def _load_transcript_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "transcript.py"
+    spec = importlib.util.spec_from_file_location("transcript", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("argv, code, expected", usage_transcript())
-def test_help_and_usage_errors_are_pinned(argv, code, expected, monkeypatch, capsys):
+transcript = _load_transcript_tool()
+# The CLI contract: every entry of the transcript, parsed by the replayer.
+ENTRIES = transcript.parse(str(DATA_DIR / "cli_usage.txt"))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [pytest.param(argv, expected, id=command) for command, argv, expected in ENTRIES],
+)
+def test_help_and_usage_errors_are_pinned(argv, expected, monkeypatch, capsys):
+    """Each transcript entry, run in this process as the replayer runs it:
+    from the repository root, at 80 columns."""
     monkeypatch.setenv("COLUMNS", "80")
-    assert run_command(argv) == code
+    monkeypatch.chdir(transcript.ROOT)
+    code = run_command(argv)
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ((expected, "") if code == 0 else ("", expected))
+    assert (code, captured.out, captured.err) == expected
+
+
+# One entry each of derive, pi, predict, fit, a usage error and exit 2.
+FRESH_SAMPLE = {
+    "scalelab derive --target 'v:m s^-1' --params 'g:m s^-2,l:m'",
+    "scalelab pi --quantities 'E:J,t:s,rho:kg m^-3,r:m'",
+    "scalelab predict blast --obs '133 m @ 0.025 s'",
+    "scalelab fit --csv tests/data/yacht.csv --x ' length' --y price",
+    "scalelab predict hull",
+    "scalelab derive --target E:J --params l:m,t:s",
+}
+
+
+def test_a_transcript_sample_replays_in_fresh_processes():
+    """``cli.main``, which the console script calls, in fresh ``python -m
+    scalelab.cli`` processes; under 1 s of wall time on a 2-core host."""
+    sample = [entry for entry in ENTRIES if entry[0] in FRESH_SAMPLE]
+    assert len(sample) == len(FRESH_SAMPLE)
+    python = [sys.executable, "-m", "scalelab.cli"]
+    assert transcript.replay(sample, python, child_env()) == []
+
+
+# Each of the three faulty entries differs from its run in one thing only:
+# the exit code, one stdout line, or stderr on exit 0.
+_FAULTY_TRANSCRIPT = """\
+$ scalelab 0 'same|' ''
+? 0
+same
+$ scalelab 2 '' 'error: code|'
+? 1
+error: code
+$ scalelab 0 'first|second|' ''
+? 0
+first
+wrong
+$ scalelab 0 'out|' 'stray|'
+? 0
+out
+$ scalelab 2 '' 'error: same|'
+? 2
+error: same
+"""
+
+# Stands in for scalelab: exits with its first argument and writes the
+# next two to stdout and stderr, each "|" as a line end.
+_FAKE_CLI = """
+import sys
+code, out, err = sys.argv[1:]
+sys.stdout.write(out.replace("|", "\\n"))
+sys.stderr.write(err.replace("|", "\\n"))
+sys.exit(int(code))
+"""
+
+
+def test_the_replayer_reports_each_kind_of_difference(tmp_path):
+    (tmp_path / "bin").mkdir()
+    fake = tmp_path / "bin" / "scalelab"
+    fake.write_text(f"#!{sys.executable}{_FAKE_CLI}", encoding="utf-8")
+    fake.chmod(0o755)
+    path = write(tmp_path, "faulty.txt", _FAULTY_TRANSCRIPT)
+    env = dict(os.environ, PATH=os.pathsep.join([str(tmp_path / "bin"), os.environ["PATH"]]))
+    proc = subprocess.run([sys.executable, transcript.__file__, path], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+    reported = [line for line in proc.stdout.splitlines() if line.startswith("$ ")]
+    assert reported == [
+        "$ scalelab 2 '' 'error: code|'",
+        "$ scalelab 0 'first|second|' ''",
+        "$ scalelab 0 'out|' 'stray|'",
+    ]
+    assert proc.stdout.endswith("\n5 entries, 3 differ\n")
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_run_command_calls_share_one_parser(monkeypatch, capsys):
@@ -546,31 +586,12 @@ def test_run_command_calls_share_one_parser(monkeypatch, capsys):
     assert built == []
 
 
-def test_pi_command(capsys):
-    code = run_command(
-        ["pi", "--quantities", "E:J,t:s,rho:kg m^-3,r:m"]
-    )
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "pi: E t^2 rho^-1 r^-5"
-
-
-def test_pi_command_no_groups(capsys):
-    assert run_command(["pi", "--quantities", "E:J"]) == 0
-    assert "no dimensionless groups" in capsys.readouterr().out
-
-
 def test_unknown_subcommand_exits_1(capsys):
+    # Not a transcript entry: argparse quotes the choices in this message on
+    # some Python versions and not on others.
     assert run_command(["frobnicate"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower()
-
-
-def test_help_exits_0():
-    assert run_command(["--help"]) == 0
-
-
-def test_no_arguments_exits_1(capsys):
-    assert run_command([]) == 1
 
 
 def test_fit_command_on_square_law(tmp_path, capsys):
@@ -803,161 +824,6 @@ def test_diagnose_residuals_row_out_of_range(tmp_path, capsys):
          "--row", "0", "--row", "99"]
     )
     assert code == 2
-
-
-def test_predict_roast_command(capsys):
-    code = run_command(
-        ["predict", "roast", "--mass", "5 kg", "--ref-mass", "1 kg",
-         "--ref-time", "1 hr"]
-    )
-    assert code == 0
-    assert "2.92402 hr" in capsys.readouterr().out
-
-
-def test_predict_hull_command(capsys):
-    assert run_command(["predict", "hull", "--length", "25 ft"]) == 0
-    assert "6.70362 knot" in capsys.readouterr().out
-
-
-def test_predict_fall_command(capsys):
-    code = run_command(
-        ["predict", "fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg",
-         "--mass", "20 g"]
-    )
-    assert code == 0
-    assert "32.3165 mph" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg", "--mass", "1e-320 g"],
-         "9.99989e-321 g / 200 kg underflows a float to 0"),
-        (["roast", "--mass", "1e-320 g", "--ref-mass", "200 kg", "--ref-time", "1 hr"],
-         "9.99989e-321 g / 200 kg underflows a float to 0"),
-        (["fall", "--ref-speed", "150 mph", "--ref-mass", "1e-300 g", "--mass", "1e300 kg"],
-         "1e+300 kg / 1e-300 g overflows a float"),
-        (["roast", "--mass", "1e300 kg", "--ref-mass", "1e-300 g", "--ref-time", "1 hr"],
-         "1e+300 kg / 1e-300 g overflows a float"),
-    ],
-    ids=["fall-underflow", "roast-underflow", "fall-overflow", "roast-overflow"],
-)
-def test_predict_mass_ratio_out_of_float_range_exits_2(argv, message, capsys):
-    # 1e-320 g is subnormal; over 200 kg the ratio rounds to 0.
-    assert run_command(["predict", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["fall", "--ref-speed", "1e-300 m/s", "--ref-mass", "1 kg", "--mass", "1e-300 kg"],
-         "evaluating 'v ~ m^1/6': 1e-50 1 * 1e-300 m s^-1 underflows a float to 0"),
-        (["roast", "--mass", "1e-300 kg", "--ref-mass", "1 kg", "--ref-time", "1e-200 hr"],
-         "evaluating 't ~ kappa^-1 m^2/3': 1e-200 1 * 3.6e-197 s underflows a float to 0"),
-        (["blast", "--energy", "1e-300 J", "--time", "1e-300 s", "--prefactor", "1e-200"],
-         "evaluating 'r ~ E^1/5 rho^-1/5 t^2/5': 1e-120 s^2/5 * 9.64193e-261 m s^-2/5 "
-         "underflows a float to 0"),
-    ],
-    ids=["fall", "roast", "blast"],
-)
-def test_predict_underflow_exits_2(argv, message, capsys):
-    # Every input is nonzero, yet the prediction rounds to 0.
-    assert run_command(["predict", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
-
-
-def test_predict_result_underflowing_in_the_reference_unit_exits_2(capsys):
-    # The time is 3.2e-317 s, but in years it rounds to 0.
-    argv = ["roast", "--mass", "1e-36 kg", "--ref-mass", "1 kg", "--ref-time", "1e-300 yr"]
-    assert run_command(["predict", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: 3.1557e-317 s to yr underflows a float to 0\n"
-
-
-def test_predict_input_underflowing_in_si_exits_2(capsys):
-    # 1e-322 g is positive, but 1e-325 kg rounds to 0.
-    argv = ["roast", "--mass", "1e-322 g", "--ref-mass", "1 kg", "--ref-time", "1 hr"]
-    assert run_command(["predict", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: mass 9.88131e-323 g underflows a float to 0 in SI units\n"
-
-
-def test_predict_input_overflowing_in_si_exits_2(capsys):
-    # 1e308 yr is a finite time, but in seconds it is beyond the float range.
-    argv = ["roast", "--mass", "5 kg", "--ref-mass", "1 kg", "--ref-time", "1e308 yr"]
-    assert run_command(["predict", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: reference time 1e+308 yr overflows a float in SI units\n"
-
-
-def test_predict_blast_radius_command(capsys):
-    code = run_command(
-        ["predict", "blast", "--energy", "8e13 J", "--time", "0.025 s", "--json"]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["prediction"] == pytest.approx(133.0325, rel=1e-6)
-    assert payload["prediction_unit"] == "m"
-
-
-def test_predict_blast_yield_from_observations(capsys):
-    code = run_command(
-        ["predict", "blast", "--obs", "133.03249971309862 m @ 0.025 s", "--json"]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["prediction"] == pytest.approx(8e13, rel=1e-9)
-
-
-def test_predict_blast_usage_conflict(capsys):
-    code = run_command(
-        ["predict", "blast", "--energy", "1 J", "--time", "1 s",
-         "--obs", "1 m @ 1 s"]
-    )
-    assert code == 1
-
-
-def test_predict_dimension_error_exits_2(capsys):
-    code = run_command(
-        ["predict", "roast", "--mass", "5 m", "--ref-mass", "1 kg",
-         "--ref-time", "1 hr"]
-    )
-    assert code == 2
-
-
-def test_predict_blast_huge_inputs_give_a_finite_radius(capsys):
-    # Each factor of C E^1/5 rho^-1/5 t^2/5 is raised on its own, so inputs
-    # whose product E t^2 would overflow still give the finite radius.
-    code = run_command(
-        ["predict", "blast", "--energy", "1e300 J", "--time", "1e200 s"]
-    )
-    assert code == 0
-    assert "prediction: 9.64193e+139 m" in capsys.readouterr().out
-
-
-def test_predict_blast_overflow_exits_2(capsys):
-    # The yield needs r^5, which overflows a float for r = 1e100 m.
-    code = run_command(["predict", "blast", "--obs", "1e100 m @ 1 s"])
-    assert code == 2
-    assert "overflows" in capsys.readouterr().err
-
-
-def test_predict_blast_underflow_exits_2(capsys):
-    # r^5 underflows to 0 for r = 1e-70 m, and so does t^-2 for t = 1e100 s;
-    # the log of a zero energy is undefined.
-    code = run_command(["predict", "blast", "--obs", "1e-70 m @ 1e100 s"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "observation 1e-70 m @ 1e+100 s" in err
-    assert "underflows" in err
 
 
 def test_plot_command_unwritable_path_exits_2(tmp_path, capsys):
