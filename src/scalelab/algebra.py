@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from numbers import Rational, Real
 from operator import mul
-from typing import Mapping, Sequence
 
 from .errors import (
     CapacityError,

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import ScalingRelation, chain, solve_balance, solve_target_exponents
 from .errors import DataError, DimensionMismatchError

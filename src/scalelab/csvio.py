@@ -66,17 +66,24 @@ def parse_header(cells: list[str]) -> CsvSchema:
 def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     """Load a unit-annotated CSV file into a DataSet.
 
-    A malformed or ragged row, or a number past the float range, aborts
-    the load with its file line number; a file with a header but no data
-    rows is an error.
+    A malformed or ragged row, a number past the float range or a byte
+    that is not UTF-8 aborts the load with its file line number; a file
+    with a header but no data rows is an error.
     """
     registry = registry or default_registry()
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8-sig")
+    except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # exc.start indexes exc.object, the bytes after any byte order mark;
+        # the bytes before it decode.
+        number = 1 + _newlines(exc.object[:exc.start].decode()).count("\n")
+        raise DataError(f"cannot read {path!r}: line {number} is not UTF-8 "
+                        f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
 
+    text = _newlines(text)
     lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1)
              if (stripped := line.strip()) and stripped[0] != "#"]
     if not lines:
@@ -113,6 +120,11 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
         number, line = lines[1 + i]
         _cell(number, names[j], line.split(",")[j])
     return DataSet({name: (table[:, j], unit) for j, (name, unit) in enumerate(zip(names, units))})
+
+
+def _newlines(text: str) -> str:
+    """``text`` with each line end, ``\\r\\n``, ``\\r`` or ``\\n``, as ``\\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _cell(number: int, name: str, cell: str) -> float:

@@ -204,10 +204,6 @@ class FitResult(_Value):
             for i, name in enumerate(kept, start=3 if spec.include_quadratic else 2)
         )
 
-    @property
-    def is_pure_power_law(self) -> bool:
-        return self.p == 2
-
     def coefficient_vector(self) -> np.ndarray:
         """A writable copy of ``coefficients``."""
         return self.coefficients.copy()
@@ -219,13 +215,11 @@ class FitResult(_Value):
         labels.extend(f"delta[{c.name}]" for c in self.covariate_coefficients)
         return tuple(labels)
 
-    def predicted_log(self, u: float, covariate_values: Sequence[float] = ()) -> float:
+    def predicted_log(self, u: float) -> float:
         """Model value of log(y/y0) at log(x/x0) = u."""
         value = self.alpha + self.beta * u
         if self.gamma is not None:
             value += self.gamma * u * u
-        for coef, cov in zip(self.covariate_coefficients, covariate_values):
-            value += coef.value * cov
         return value
 
     def predict(self, x: Quantity) -> Quantity:
@@ -489,7 +483,7 @@ def residual_distance_ratio(
     """
     if space not in ("log", "natural"):
         raise DataError(f"space must be 'log' or 'natural', got {space!r}")
-    if not fit.is_pure_power_law:
+    if fit.p != 2:
         raise DataError("residual_distance_ratio requires a pure power-law fit")
 
     def residual(point: tuple[Quantity, Quantity]) -> float:

@@ -9,13 +9,11 @@ unit.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .errors import DataError
 from .regression import DataSet, FitResult, _log_ratio_column
 from .units import Unit, _Value
 
-__all__ = ["PlotSpec", "emit_svg_plot", "plot_maps"]
+__all__ = ["PlotSpec", "emit_svg_plot"]
 
 WIDTH = 640
 HEIGHT = 480
@@ -64,17 +62,6 @@ def _layout(ds: DataSet, spec: PlotSpec):
         return HEIGHT - MARGIN_BOTTOM - (value - vlo) / (vhi - vlo) * y_span
 
     return u, v, (ulo, uhi), (vlo, vhi), x_map, y_map
-
-
-def plot_maps(
-    ds: DataSet, spec: PlotSpec
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """The affine data-to-pixel maps used by :func:`emit_svg_plot`.
-
-    Exposed so tests and tooling can invert emitted coordinates.
-    """
-    *_, x_map, y_map = _layout(ds, spec)
-    return x_map, y_map
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

@@ -460,16 +460,13 @@ class Quantity(_Value):
             self.in_si()  # raises
         return si
 
-    def to(self, target: Unit) -> Quantity:
-        return convert(self, target)
-
     def in_si(self) -> Quantity:
         return convert(self, coherent_unit(self.dimension))
 
     def _sum(self, op, how: str, other: Quantity, what: str) -> Quantity:
         if self.dimension != other.dimension:
             raise DimensionMismatchError(self.dimension, other.dimension, what)
-        theirs = other.to(self.unit).magnitude
+        theirs = convert(other, self.unit).magnitude
         return Quantity(_in_range(op, self.magnitude, theirs, self, how, other), self.unit)
 
     def __add__(self, other: Quantity) -> Quantity:

@@ -26,7 +26,7 @@ from scalelab.regression import (
     fit_power_law,
     fit_quadratic_log,
 )
-from scalelab.svgplot import PlotSpec, emit_svg_plot, plot_maps
+from scalelab.svgplot import PlotSpec, _layout, emit_svg_plot
 from scalelab.units import default_registry, parse_quantity
 
 REG = default_registry()
@@ -269,9 +269,16 @@ def test_crlf_and_cr_line_ends_keep_line_numbers(tmp_path, end):
     assert dump_csv(load_csv(str(good))) == "x[m],y[m]\n1.0,2.0\n3.0,4.0\n"
     bad = tmp_path / "bad.csv"
     bad.write_bytes("x[m],y[m]\n# c\n1,2\n3,1_0\n".replace("\n", end).encode())
-    with pytest.raises(DataError) as info:
-        load_csv(str(bad))
-    assert str(info.value) == "line 4, column 'y': malformed number '1_0'"
+    # A byte order mark, then a byte that is not UTF-8 on line 4.
+    latin = tmp_path / "latin1.csv"
+    text = "x[m],y[m]\n# c\n1,2\n3,\xff4\n".replace("\n", end)
+    latin.write_bytes(b"\xef\xbb\xbf" + text.encode("latin-1"))
+    not_utf8 = "line 4 is not UTF-8 (byte 0xff: invalid start byte)"
+    for path, message in [(bad, "line 4, column 'y': malformed number '1_0'"),
+                          (latin, f"cannot read {str(latin)!r}: {not_utf8}")]:
+        with pytest.raises(DataError) as info:
+            load_csv(str(path))
+        assert str(info.value) == message
 
 
 def test_header_cells_split_at_every_comma_and_keep_their_quotes(tmp_path):
@@ -396,7 +403,7 @@ def test_fitted_line_slope_matches_beta():
     )
     assert match
     x1, y1, x2, y2 = map(float, match.groups())
-    x_map, y_map = plot_maps(ds, plot_spec(ds))
+    *_, x_map, y_map = _layout(ds, plot_spec(ds))
     x_scale = x_map(1.0) - x_map(0.0)
     y_scale = y_map(1.0) - y_map(0.0)
     slope = ((y2 - y1) / (x2 - x1)) * (x_scale / y_scale)
@@ -418,7 +425,7 @@ def test_parabola_polyline_vertex():
     assert match
     points = [tuple(map(float, p.split(","))) for p in match.group(1).split()]
     assert len(points) == 100
-    x_map, y_map = plot_maps(ds, plot_spec(ds))
+    *_, x_map, y_map = _layout(ds, plot_spec(ds))
     x_scale = x_map(1.0) - x_map(0.0)
     lowest = min(points, key=lambda p: -p[1])  # svg y grows downward
     u_at_lowest = (lowest[0] - x_map(0.0)) / x_scale
@@ -850,6 +857,16 @@ def test_plot_command_quadratic_curve(tmp_path, capsys):
     )
     assert code == 0
     assert "<polyline" in out.read_text()
+
+
+def test_plot_of_a_constant_column_centres_it_in_a_range_two_wide(tmp_path, capsys):
+    path = write(tmp_path, "flat.csv", "x[m],y[m]\n2,1\n2,10\n2,100\n")
+    out = tmp_path / "flat.svg"
+    assert run_command(["plot", "--csv", path, "--x", "x", "--y", "y", "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert re.findall(r'<circle cx="([\d.]+)"', svg) == ["345.000000"] * 3
+    for tick in (math.log(2) - 1, math.log(2) + 1):
+        assert f'text-anchor="middle">{tick:.3g}</text>' in svg
 
 
 def test_plot_command_writes_deterministic_svg(tmp_path, capsys):

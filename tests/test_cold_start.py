@@ -1,11 +1,12 @@
 """Commands that need no fitting must start without importing numpy, and
-no command may import ``dataclasses`` (which imports ``inspect``).
+no command may import ``dataclasses`` (which imports ``inspect``) or
+``csv``.
 
 numpy is already loaded in the test process, so each command runs in a
-fresh interpreter that reports its exit code and whether numpy and
-``dataclasses`` were imported.  The package's export surface is pinned
-here too: ``import scalelab`` loads no submodule, and each exported name
-is the defining module's object.
+fresh interpreter that reports its exit code and whether numpy,
+``dataclasses`` and ``csv`` were imported.  The package's export surface
+is pinned here too: ``import scalelab`` loads no submodule, and each
+exported name is the defining module's object.
 """
 
 import importlib
@@ -26,7 +27,7 @@ DATA_DIR = Path(__file__).parent / "data"
 RUN_COMMAND = """
 from scalelab.cli import run_command
 code = run_command(json.loads(sys.argv[1]))
-print(json.dumps([code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
+print(json.dumps([code, *(m in sys.modules for m in ("numpy", "dataclasses", "csv"))]))
 """
 
 
@@ -42,61 +43,70 @@ def run_python(*args):
     return proc
 
 
-def run_fresh(script, *args):
-    """Run ``script`` in a new interpreter; return its last stdout line as JSON."""
-    proc = run_python("-c", "import json, sys\n" + script, *args)
+def run_fresh(script, *args, flags=()):
+    """Run ``script`` in a new interpreter started with ``flags``; return its
+    last stdout line as JSON."""
+    proc = run_python(*flags, "-c", "import json, sys\n" + script, *args)
     return tuple(json.loads(proc.stdout.splitlines()[-1]))
 
 
-@pytest.mark.parametrize(
-    "argv, expected_code",
-    [
-        (["derive", "--target", "v:m s^-1", "--params", "g:m s^-2,l:m"], 0),
-        (["pi", "--quantities", "E:J,t:s,rho:kg m^-3,r:m"], 0),
-        (["predict", "blast", "--energy", "8e13 J", "--time", "0.025 s"], 0),
-        (["predict", "blast", "--obs", "133 m @ 0.025 s", "--json"], 0),
-        (["predict", "roast", "--mass", "5 kg", "--ref-mass", "1 kg",
-          "--ref-time", "1 hr"], 0),
-        (["predict", "hull", "--length", "25 ft"], 0),
-        (["predict", "fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg",
-          "--mass", "20 g"], 0),
-        (["derive", "--target", "E:J", "--params", "l:m,t:s"], 2),
-    ],
-    ids=["derive", "pi", "blast", "blast-obs", "roast", "hull", "fall", "error"],
-)
-def test_command_runs_without_numpy(argv, expected_code):
-    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (expected_code, False, False)
-
-
-def test_fit_command_imports_numpy():
-    # The control case: the probe does see numpy when a command loads it.
-    argv = ["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length",
-            "--y", "price"]
-    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True, False)
-
-
+DERIVE = ["derive", "--target", "v:m s^-1", "--params", "g:m s^-2,l:m"]
+PI = ["pi", "--quantities", "E:J,t:s,rho:kg m^-3,r:m"]
+ROAST = ["predict", "roast", "--mass", "5 kg", "--ref-mass", "1 kg", "--ref-time", "1 hr"]
 FIT_ARGS = ["--csv", str(DATA_DIR / "metabolic.csv"), "--x", "mass", "--y", "bmr"]
+# (exit code, numpy, dataclasses, csv)
+LEAN = (0, False, False, False)
+NUMPY = (0, True, False, False)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        ["fit", *FIT_ARGS, "--quadratic", "--json"],
-        ["diagnose", "unit-change", *FIT_ARGS, "--new-x0", "kg", "--quadratic"],
-        ["diagnose", "residuals", *FIT_ARGS, "--row", "0", "--row", "1"],
-        ["plot", *FIT_ARGS, "--fit", "--out", "{tmp}/plot.svg"],
+        (DERIVE, LEAN),
+        (PI, LEAN),
+        (["predict", "blast", "--energy", "8e13 J", "--time", "0.025 s"], LEAN),
+        (["predict", "blast", "--obs", "133 m @ 0.025 s", "--json"], LEAN),
+        (ROAST, LEAN),
+        (["predict", "hull", "--length", "25 ft"], LEAN),
+        (["predict", "fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg", "--mass", "20 g"],
+         LEAN),
+        (["derive", "--target", "E:J", "--params", "l:m,t:s"], (2, False, False, False)),
+        (["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length", "--y", "price"], NUMPY),
+        (["fit", *FIT_ARGS, "--quadratic", "--json"], NUMPY),
+        (["diagnose", "unit-change", *FIT_ARGS, "--new-x0", "kg", "--quadratic"], NUMPY),
+        (["diagnose", "residuals", *FIT_ARGS, "--row", "0", "--row", "1"], NUMPY),
+        (["plot", *FIT_ARGS, "--fit", "--out", "{tmp}/plot.svg"], NUMPY),
     ],
-    ids=["fit", "unit-change", "residuals", "plot"],
+    ids=["derive", "pi", "blast", "blast-obs", "roast", "hull", "fall", "error", "fit",
+         "fit-quadratic", "unit-change", "residuals", "plot"],
 )
-def test_fit_family_loads_numpy_but_not_dataclasses(argv, tmp_path):
+def test_what_a_fresh_command_imports(argv, expected, tmp_path):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == (0, True, False)
+    assert run_fresh(RUN_COMMAND, json.dumps(argv)) == expected
 
 
-def test_the_probe_sees_dataclasses_when_it_is_imported():
-    script = "import dataclasses\n" + RUN_COMMAND
-    argv = ["pi", "--quantities", "E:J,t:s,rho:kg m^-3,r:m"]
-    assert run_fresh(script, json.dumps(argv)) == (0, False, True)
+@pytest.mark.parametrize(
+    "module, expected",
+    [("dataclasses", (0, False, True, False)), ("csv", (0, False, False, True))],
+)
+def test_the_probe_sees_a_module_when_it_is_imported(module, expected):
+    script = f"import {module}\n" + RUN_COMMAND
+    assert run_fresh(script, json.dumps(PI)) == expected
+
+
+@pytest.mark.parametrize(
+    "preamble, argv, expected",
+    [("", DERIVE, (0, False)), ("", PI, (0, False)), ("", ROAST, (0, False)),
+     ("import typing\n", PI, (0, True))],
+    ids=["derive", "pi", "roast", "control"],
+)
+def test_a_numpy_free_command_imports_no_typing(preamble, argv, expected):
+    # -S: a .pth file in site-packages may import typing into every interpreter.
+    script = preamble + """
+from scalelab.cli import run_command
+print(json.dumps([run_command(json.loads(sys.argv[1])), "typing" in sys.modules]))
+"""
+    assert run_fresh(script, json.dumps(argv), flags=["-S"]) == expected
 
 
 def test_import_scalelab_defers_numpy_until_a_lazy_name_is_used():
@@ -123,21 +133,20 @@ print(json.dumps([b.cache_info().currsize for b in builders]))
 
 
 @pytest.mark.parametrize(
-    "args, module",
+    "args, modules",
     [
-        (["-c", "import scalelab; scalelab.pi_basis"], "scalelab.algebra"),
-        (["-m", "scalelab.cli", "derive", "--target", "v:m s^-1", "--params", "g:m s^-2,l:m"],
-         "scalelab.casebook"),
+        (["-c", "import scalelab; scalelab.pi_basis"], {"scalelab.algebra"}),
+        (["-m", "scalelab.cli", *ROAST], {"scalelab.algebra", "scalelab.casebook"}),
     ],
-    ids=["package-attribute", "derive"],
+    ids=["package-attribute", "roast"],
 )
-def test_importtime_lists_a_module_loaded_through_the_package(args, module):
-    # The CI importtime check reads these lines; a module the package loads
-    # on first use must be among them.
+def test_importtime_lists_a_module_loaded_through_the_package(args, modules):
+    # perfbench's cli_cold reads these lines for its cli.import_* metrics; a
+    # module the package loads on first use must be among them.
     log = run_python("-X", "importtime", *args).stderr
-    modules = [line.split("|")[-1].strip() for line in log.splitlines()
-               if line.startswith("import time:")]
-    assert module in modules
+    listed = {line.split("|")[-1].strip() for line in log.splitlines()
+              if line.startswith("import time:")}
+    assert modules <= listed
 
 
 def test_import_scalelab_loads_no_submodule():
