@@ -8,9 +8,10 @@ command-line interface.
 
 Every public name is served by one table, ``_LAZY``, which maps it to its
 defining submodule: ``import scalelab`` loads no submodule, and each one is
-imported when a name from it is first used.  So derivations, pi-group bases
-and the casebook run without numpy, which ``regression``, ``csvio`` and
-``svgplot`` import.
+imported when a name from it is first used.  None of them imports numpy
+when it is loaded: ``regression`` and ``csvio`` import it only for tables
+of ``regression._NUMPY_ROWS`` rows or more, or when ``Column.values`` is
+first read, so every command on a smaller table runs without it.
 """
 
 __version__ = "0.1.0"

@@ -31,8 +31,9 @@ from .algebra import pi_basis, solve_target_exponents
 from .errors import QuantityParseError, ScaleLabError, UnderdeterminedError
 from .units import Quantity, _real, default_registry, parse_quantity
 
-# csvio, regression and svgplot import numpy: the handlers that need them
-# import them locally, so derive, pi and predict start without it.
+# csvio, regression and svgplot are imported by the handlers that need them,
+# so derive, pi and predict start without loading them.  None imports numpy
+# below regression._NUMPY_ROWS rows.
 
 __all__ = ["run_command", "main"]
 
@@ -238,10 +239,10 @@ def _cmd_unit_change(args) -> int:
     r_vec = refit.coefficients
     max_diff = max(abs(t - r) for t, r in zip(t_vec, r_vec))
     if args.json:
-        payload = {"new_x0": new_x0.symbol, "max_abs_difference": float(max_diff)}
+        payload = {"new_x0": new_x0.symbol, "max_abs_difference": max_diff}
         for label, t, r in zip(labels, t_vec, r_vec):
-            payload[f"transformed[{label}]"] = float(t)
-            payload[f"refit[{label}]"] = float(r)
+            payload[f"transformed[{label}]"] = t
+            payload[f"refit[{label}]"] = r
         print(json.dumps(payload))
         return 0
     print(f"reference change: {spec.predictor_reference.symbol} -> {new_x0.symbol}")
@@ -270,8 +271,8 @@ def _cmd_residuals(args) -> int:
             )
         points.append(
             (
-                Quantity(float(x_col.values[row]), x_col.unit),
-                Quantity(float(y_col.values[row]), y_col.unit),
+                Quantity(x_col.data[row], x_col.unit),
+                Quantity(y_col.data[row], y_col.unit),
             )
         )
     ratio = residual_distance_ratio(points[0], points[1], result, space=args.space)

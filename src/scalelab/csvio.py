@@ -15,16 +15,20 @@ or not with spaces or tabs, never quoted.  Each line is matched against
 one pattern built from that grammar; a line that fails it is read cell by
 cell through the reader of ``units``, which names a bad cell as it names
 a bad number in a quantity, after ``line N, column 'name':``.
+
+Cells are read into Python floats.  A file of ``regression._NUMPY_ROWS``
+data rows or more is checked for cells past the float range in numpy,
+a smaller one without importing it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import tempfile
 
-import numpy as np
-
+from . import regression
 from .errors import DataError, ScaleLabError
 from .regression import DataSet
 from .units import _NUMBER, UnitRegistry, _real, _Value, default_registry
@@ -107,19 +111,32 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     if not values:
         raise DataError(f"{path!r} has no data rows")
 
-    table = np.array(values).reshape(-1, len(names))
     # A cell past the float range reads as inf, or as 0 if it underflows;
     # the reader re-reads it to name it, and lets a true zero pass.  A 0
     # can be an underflow only if the file holds a 3-digit negative
     # exponent or a run of 200 zeros: below 1e-300, a number whose exponent
     # has at most 2 digits has over 200 zeros before its first other digit.
-    suspect = np.isinf(table)
-    if (table == 0).any() and ("0" * 200 in text or _TINY_EXPONENT.search(text)):
-        suspect |= table == 0
-    for i, j in np.argwhere(suspect).tolist():
+    width = len(names)
+    if len(values) >= width * regression._NUMPY_ROWS:
+        import numpy as np
+
+        table = np.array(values).reshape(-1, width)
+        suspect = np.isinf(table)
+        if (table == 0).any() and ("0" * 200 in text or _TINY_EXPONENT.search(text)):
+            suspect |= table == 0
+        cells = np.argwhere(suspect).tolist()
+        columns = table.T.copy()
+    else:
+        zeros = 0.0 in values and ("0" * 200 in text or _TINY_EXPONENT.search(text))
+        cells = []
+        if zeros or not all(map(math.isfinite, values)):
+            cells = [divmod(k, width) for k, value in enumerate(values)
+                     if math.isinf(value) or (zeros and value == 0)]
+        columns = [values[j::width] for j in range(width)]
+    for i, j in cells:
         number, line = lines[1 + i]
         _cell(number, names[j], line.split(",")[j])
-    return DataSet({name: (table[:, j], unit) for j, (name, unit) in enumerate(zip(names, units))})
+    return DataSet({name: (column, unit) for name, unit, column in zip(names, units, columns)})
 
 
 def _newlines(text: str) -> str:
@@ -145,9 +162,8 @@ def dump_csv(ds: DataSet) -> str:
     names = ds.names
     header = ",".join(f"{name}[{ds.column(name).unit.symbol}]" for name in names)
     rows = [header]
-    arrays = [ds.column(name).values for name in names]
-    for i in range(ds.n):
-        rows.append(",".join(repr(float(arr[i])) for arr in arrays))
+    for row in zip(*(ds.column(name).data for name in names)):
+        rows.append(",".join(map(repr, row)))
     return "\n".join(rows) + "\n"
 
 

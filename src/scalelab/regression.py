@@ -17,6 +17,15 @@ decomposition rather than the raw normal equations; squared-log regressors
 are nearly collinear with log regressors on narrow ranges, and that route
 keeps them well conditioned.
 
+Columns are stored as 8-byte floats in ``array('d')``.  A table of fewer
+than ``_NUMPY_ROWS`` rows is checked and fitted on Python floats: the QR is
+modified Gram-Schmidt, each column orthogonalised twice, with dot products
+summed by ``math.fsum``; on the augmented matrix ``[X | y]`` it is backward
+stable for least squares (Bjorck, *Numerical Methods for Least Squares
+Problems*, 1996, section 2.4).  So a fit of a small table never imports
+numpy.  A larger table is checked and fitted in numpy, where the stdlib
+column work alone would cost a quarter of a second per column at 1e6 rows.
+
 Fitting is a pure function of (DataSet, ModelSpec); datasets are frozen at
 construction, so fits may run concurrently without coordination.
 
@@ -30,9 +39,10 @@ deviations differ: ``2 - 1 > 1 - 1/2``.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+import operator
+import sys
+from array import array
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CollinearityError,
@@ -40,6 +50,15 @@ from .errors import (
     DimensionMismatchError,
 )
 from .units import Quantity, Unit, _Value, convert, log_ratio
+
+if TYPE_CHECKING:
+    import numpy
+
+# Tables of at least this many rows are checked and fitted in numpy, smaller
+# ones on Python floats.  At this size a fresh process running
+# ``fit --quadratic --json`` on a 3-column table takes as long either way.
+_NUMPY_ROWS = 60_000
+_EPS = sys.float_info.epsilon
 
 __all__ = [
     "Column",
@@ -57,16 +76,26 @@ __all__ = [
 
 
 class Column(NamedTuple):
-    values: np.ndarray
+    """A column's magnitudes, a read-only view of 8-byte floats, and its unit."""
+
+    data: memoryview
     unit: Unit
+
+    @property
+    def values(self) -> numpy.ndarray:
+        """The magnitudes as a read-only float64 ndarray over ``data``; this
+        imports numpy."""
+        import numpy as np
+
+        return np.frombuffer(self.data, dtype=float)
 
 
 class DataSet:
     """Named columns of finite magnitudes, each bound to one unit.
 
-    Arrays are copied and frozen at construction; a dataset never changes
-    after it is built.  A NaN or infinite value is a :class:`DataError`
-    naming its column and row.
+    Columns are copied into 8-byte floats and frozen at construction; a
+    dataset never changes after it is built.  A NaN or infinite value is a
+    :class:`DataError` naming its column and row.
     """
 
     def __init__(self, columns: Mapping[str, tuple[Sequence[float], Unit]]):
@@ -75,24 +104,31 @@ class DataSet:
         self._columns: dict[str, Column] = {}
         n = None
         for name, (values, unit) in columns.items():
-            arr = np.asarray(values, dtype=float).copy()
-            if arr.ndim != 1:
-                raise DataError(f"column {name!r} must be one-dimensional")
+            data = _float_array(name, values)
             if n is None:
-                n = arr.size
-            elif arr.size != n:
+                n = len(data)
+            elif len(data) != n:
                 raise DataError(
-                    f"column {name!r} has {arr.size} rows, expected {n}"
+                    f"column {name!r} has {len(data)} rows, expected {n}"
                 )
-            finite = np.isfinite(arr)
-            if not finite.all():
-                row = int(np.argmin(finite))
+            if n >= _NUMPY_ROWS:
+                import numpy as np
+
+                bad = np.flatnonzero(~np.isfinite(np.frombuffer(data)))
+                row = int(bad[0]) if bad.size else None
+            elif all(map(math.isfinite, data)):
+                row = None
+            else:
+                row = next(i for i, value in enumerate(data) if not math.isfinite(value))
+            if row is not None:
                 raise DataError(
-                    f"column {name!r}, row {row}: {float(arr[row])!r} is not a finite number"
+                    f"column {name!r}, row {row}: {data[row]!r} is not a finite number"
                 )
-            arr.setflags(write=False)
-            self._columns[name] = Column(arr, unit)
-        self.n = int(n)
+            self._columns[name] = Column(memoryview(data).toreadonly(), unit)
+        self.n = n
+
+    def __reduce__(self):  # a memoryview does not pickle; the array under it does
+        return DataSet, ({name: (col.data.obj, col.unit) for name, col in self._columns.items()},)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -106,6 +142,28 @@ class DataSet:
 
     def __len__(self) -> int:
         return self.n
+
+
+def _float_array(name: str, values) -> array:
+    """A copy of ``values`` as 8-byte floats.
+
+    A flat list, tuple, array or float memoryview of numbers is copied as
+    it is; numpy reads any other input (an ndarray, a nested list, text),
+    and a result that is not one-dimensional is a DataError.
+    """
+    if isinstance(values, memoryview) and values.format == "d" and values.ndim == 1:
+        return array("d", values.tobytes())
+    if isinstance(values, (list, tuple, array)):
+        try:
+            return array("d", values)
+        except TypeError:  # a nested list, or an entry that is not a number
+            pass
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DataError(f"column {name!r} must be one-dimensional")
+    return array("d", values.tobytes())
 
 
 class ModelSpec(_Value):
@@ -134,7 +192,9 @@ class FitResult(_Value):
 
     ``coefficients`` (alpha, beta, then gamma if the spec is quadratic, then
     a delta per kept covariate) and ``coefficient_covariance`` are the only
-    coefficient state; the named coefficients are read from them.
+    coefficient state; the named coefficients are read from them.  Both,
+    and ``residuals_log``, are tuples of floats, the covariance a tuple of
+    rows, whatever sequences they are built from.
 
     ``residual_scale`` is the largest log response magnitude plus, for each
     coefficient, the largest magnitude of its term in the design; the
@@ -143,33 +203,38 @@ class FitResult(_Value):
 
     __slots__ = ("coefficients", "coefficient_covariance", "r_squared", "residuals_log", "n",
                  "reference_units", "residual_scale", "dropped_covariates")
-    __eq__, __hash__ = object.__eq__, object.__hash__  # it holds arrays
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a fit is equal only to itself
 
-    def __init__(self, coefficients: np.ndarray, coefficient_covariance: np.ndarray,
-                 r_squared: float, residuals_log: np.ndarray, n: int,
-                 reference_units: ModelSpec, residual_scale: float,
-                 dropped_covariates: tuple[str, ...] = ()):
+    def __init__(self, coefficients: Sequence[float],
+                 coefficient_covariance: Sequence[Sequence[float]], r_squared: float,
+                 residuals_log: Sequence[float], n: int, reference_units: ModelSpec,
+                 residual_scale: float, dropped_covariates: tuple[str, ...] = ()):
+        self.__setstate__((coefficients, coefficient_covariance, r_squared, residuals_log, n,
+                           reference_units, residual_scale, dropped_covariates))
         if not 0.0 <= r_squared <= 1.0:
             raise DataError(f"r_squared {r_squared} outside [0, 1]")
         # With an intercept the residuals sum to zero up to the forward
         # error of computing and adding n of them; written so NaN fails.
-        total = float(residuals_log.sum())
-        bound = 16 * n * np.finfo(float).eps * residual_scale
+        try:
+            total = math.fsum(self.residuals_log)
+        except (OverflowError, ValueError):  # the terms overflow, or hold inf and -inf
+            total = sum(self.residuals_log)
+        bound = 16 * n * _EPS * residual_scale
         if not abs(total) <= bound:
             raise DataError(
                 f"residuals sum to {total:.3g}, beyond the rounding bound "
                 f"{bound:.3g}; intercept fit failed"
             )
-        self.__setstate__((coefficients, coefficient_covariance, r_squared, residuals_log, n,
-                           reference_units, residual_scale, dropped_covariates))
 
-    def __setstate__(self, values) -> None:  # so copies and pickles stay read-only too
-        super().__setstate__(values)
-        for array in (self.coefficients, self.coefficient_covariance, self.residuals_log):
-            array.setflags(write=False)
+    def __setstate__(self, values) -> None:  # so copies and pickles hold tuples too
+        if isinstance(values, dict):  # pickled when the class was a dataclass
+            values = [values[name] for name in self.__match_args__]
+        coefficients, covariance, r_squared, residuals, *rest = values
+        super().__setstate__((_floats(coefficients), tuple(map(_floats, covariance)),
+                              r_squared, _floats(residuals), *rest))
 
     def _stderr(self, i: int) -> float:
-        return float(np.sqrt(self.coefficient_covariance[i, i]))
+        return math.sqrt(self.coefficient_covariance[i][i])
 
     @property
     def p(self) -> int:
@@ -177,11 +242,11 @@ class FitResult(_Value):
 
     @property
     def alpha(self) -> float:
-        return float(self.coefficients[0])
+        return self.coefficients[0]
 
     @property
     def beta(self) -> float:
-        return float(self.coefficients[1])
+        return self.coefficients[1]
 
     @property
     def se_beta(self) -> float:
@@ -189,7 +254,7 @@ class FitResult(_Value):
 
     @property
     def gamma(self) -> float | None:
-        return float(self.coefficients[2]) if self.reference_units.include_quadratic else None
+        return self.coefficients[2] if self.reference_units.include_quadratic else None
 
     @property
     def se_gamma(self) -> float | None:
@@ -200,13 +265,13 @@ class FitResult(_Value):
         spec = self.reference_units
         kept = [name for name, _ in spec.covariates if name not in self.dropped_covariates]
         return tuple(
-            CovariateCoefficient(name, float(self.coefficients[i]), self._stderr(i))
+            CovariateCoefficient(name, self.coefficients[i], self._stderr(i))
             for i, name in enumerate(kept, start=3 if spec.include_quadratic else 2)
         )
 
-    def coefficient_vector(self) -> np.ndarray:
+    def coefficient_vector(self) -> list[float]:
         """A writable copy of ``coefficients``."""
-        return self.coefficients.copy()
+        return list(self.coefficients)
 
     def coefficient_labels(self) -> tuple[str, ...]:
         labels = ["alpha", "beta"]
@@ -241,7 +306,7 @@ class FitResult(_Value):
         # alpha's standard error is not reported.
         fields: list[tuple[str, object]] = [("alpha", self.alpha)]
         for i in range(1, self.p):
-            fields.append((labels[i], float(self.coefficients[i])))
+            fields.append((labels[i], self.coefficients[i]))
             fields.append((f"se_{labels[i]}", self._stderr(i)))
         fields.extend(
             [
@@ -269,10 +334,15 @@ class FitResult(_Value):
         return "\n".join(lines)
 
 
-def _ratio_column(ds: DataSet, name: str, reference: Unit, what: str) -> np.ndarray:
+def _floats(values) -> tuple[float, ...]:
+    return tuple(map(float, values))
+
+
+def _ratio_column(ds: DataSet, name: str, reference: Unit, what: str, np=None):
     """Column ``name`` as pure numbers: its values over the reference unit.
 
-    A value that leaves the float range in the reference unit, infinite or
+    A list of floats, or an ndarray when ``np`` is the numpy module.  A
+    value that leaves the float range in the reference unit, infinite or
     nonzero turned 0, is a DataError naming its column, row and both units.
     """
     col = ds.column(name)
@@ -280,37 +350,51 @@ def _ratio_column(ds: DataSet, name: str, reference: Unit, what: str) -> np.ndar
         raise DimensionMismatchError(
             col.unit.dimension, reference.dimension, f"{what} column {name!r}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = col.values * (col.unit.scale / reference.scale)
-    bad = np.nonzero(~np.isfinite(ratios) | ((ratios == 0) & (col.values != 0)))[0]
-    if bad.size:
-        row = int(bad[0])
+    factor = col.unit.scale / reference.scale
+    if np is None:
+        ratios = [value * factor for value in col.data]
+        row = None
+        if not all(map(math.isfinite, ratios)) or 0.0 in ratios:
+            row = next((i for i, (value, ratio) in enumerate(zip(col.data, ratios))
+                        if not math.isfinite(ratio) or (ratio == 0 and value != 0)), None)
+    else:
+        values = col.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = values * factor
+        bad = np.flatnonzero(~np.isfinite(ratios) | ((ratios == 0) & (values != 0)))
+        row = int(bad[0]) if bad.size else None
+    if row is not None:
         ending = "underflows a float to 0" if ratios[row] == 0 else "overflows a float"
         raise DataError(
-            f"column {name!r}, row {row}: {col.values[row]:g} {col.unit.symbol} "
+            f"column {name!r}, row {row}: {col.data[row]:g} {col.unit.symbol} "
             f"to {reference.symbol} {ending}"
         )
     return ratios
 
 
-def _log_ratio_column(
-    ds: DataSet, name: str, reference: Unit, what: str
-) -> np.ndarray:
-    ratios = _ratio_column(ds, name, reference, what)
-    bad = np.nonzero(~(ratios > 0))[0]
-    if bad.size:
+def _log_ratio_column(ds: DataSet, name: str, reference: Unit, what: str, np=None):
+    """The log of :func:`_ratio_column`, which must be positive."""
+    ratios = _ratio_column(ds, name, reference, what, np)
+    if np is None:
+        row = next((i for i, ratio in enumerate(ratios) if not ratio > 0), None)
+    else:
+        bad = np.flatnonzero(~(ratios > 0))
+        row = int(bad[0]) if bad.size else None
+    if row is not None:
         raise DataError(
-            f"column {name!r}, row {int(bad[0])}: value must be strictly "
-            f"positive to take a log, got {ds.column(name).values[int(bad[0])]}"
+            f"column {name!r}, row {row}: value must be strictly "
+            f"positive to take a log, got {ds.column(name).data[row]}"
         )
-    return np.log(ratios)
+    return list(map(math.log, ratios)) if np is None else np.log(ratios)
 
 
-def _solve_ols(design: np.ndarray, y: np.ndarray, labels: Sequence[str]):
+def _solve_ols(design: numpy.ndarray, y: numpy.ndarray, labels: Sequence[str]):
     """Equilibrated QR least squares with a rank check.
 
     Returns (coefficients, covariance, residuals).
     """
+    import numpy as np
+
     n, p = design.shape
     norms = np.sqrt((design * design).sum(axis=0))
     if np.any(norms == 0):
@@ -337,6 +421,104 @@ def _solve_ols(design: np.ndarray, y: np.ndarray, labels: Sequence[str]):
     return coef, covariance, residuals
 
 
+def _fit_arrays(y, columns, labels):
+    """Least squares of ndarray ``y`` on an intercept and ``columns``.
+
+    Returns (coefficients, covariance, residuals, residual_scale, r_squared),
+    the first three as lists.
+    """
+    import numpy as np
+
+    design = np.column_stack([np.ones(len(y)), *columns])
+    coef, covariance, residuals = _solve_ols(design, y, labels)
+    residual_scale = float(np.abs(y).max() + np.abs(design).max(axis=0) @ np.abs(coef))
+    rss = float(residuals @ residuals)
+    tss = float(((y - y.mean()) ** 2).sum())
+    r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
+    return coef.tolist(), covariance.tolist(), residuals.tolist(), residual_scale, r_squared
+
+
+def _dot(a, b) -> float:
+    return math.fsum(map(operator.mul, a, b))
+
+
+def _project(q: list[list[float]], v: list[float]) -> tuple[list[float], list[float]]:
+    """``Q^T v`` by modified Gram-Schmidt, and what is left of ``v``: each
+    component is taken from what the earlier ones left."""
+    components = []
+    for column in q:
+        h = _dot(column, v)
+        components.append(h)
+        v = [b - h * a for a, b in zip(column, v)]
+    return components, v
+
+
+def _back_substitute(r: list[list[float]], z: list[float]) -> list[float]:
+    """The solution of ``R x = z`` for upper-triangular ``R``."""
+    x = [0.0] * len(z)
+    for i in reversed(range(len(z))):
+        x[i] = (z[i] - _dot(r[i][i + 1:], x[i + 1:])) / r[i][i]
+    return x
+
+
+def _minus_products(y: list[float], columns, coef: list[float]) -> list[float]:
+    """``y - X coef``, for ``X`` given by its columns."""
+    for c, column in zip(coef, columns):
+        y = [v - c * a for v, a in zip(y, column)]
+    return y
+
+
+def _fit_floats(y, columns, labels):
+    """Least squares of list ``y`` on an intercept and ``columns``, on Python
+    floats; returns what :func:`_fit_arrays` returns, and raises what it
+    raises.
+
+    The columns are scaled to unit norm; modified Gram-Schmidt, run twice
+    per column so that Q stays orthogonal to working precision, factors
+    them as QR.  One step of iterative refinement follows the solve, as in
+    :func:`_solve_ols`.
+    """
+    n = len(y)
+    design = [[1.0] * n, *columns]
+    p = len(design)
+    norms = [math.hypot(*column) for column in design]
+    zero = [label for label, norm in zip(labels, norms) if norm == 0]
+    if zero:
+        raise CollinearityError(zero)
+    scaled = [[value / norm for value in column] for column, norm in zip(design, norms)]
+    q: list[list[float]] = []
+    r = [[0.0] * p for _ in range(p)]
+    for j, column in enumerate(scaled):
+        for _ in range(2):
+            components, column = _project(q, column)
+            for k, h in enumerate(components):
+                r[k][j] += h
+        r[j][j] = math.hypot(*column)
+        q.append([value / r[j][j] for value in column] if r[j][j] else column)
+    tol = max(n, p) * _EPS * max(r[j][j] for j in range(p))
+    offenders = [label for j, label in enumerate(labels) if r[j][j] <= tol]
+    if offenders:
+        raise CollinearityError(offenders)
+
+    coef = _back_substitute(r, _project(q, y)[0])
+    correction = _back_substitute(r, _project(q, _minus_products(y, scaled, coef))[0])
+    coef = [(c + d) / norm for c, d, norm in zip(coef, correction, norms)]
+    residuals = _minus_products(y, design, coef)
+
+    rss = _dot(residuals, residuals)
+    sigma2 = rss / (n - p)
+    inverse = [_back_substitute(r, [float(i == j) for i in range(p)]) for j in range(p)]
+    covariance = [[sigma2 * math.fsum(col[i] * col[k] for col in inverse) / (norms[i] * norms[k])
+                   for k in range(p)] for i in range(p)]
+    residual_scale = max(map(abs, y)) + math.fsum(
+        max(map(abs, column)) * abs(c) for column, c in zip(design, coef))
+    mean = math.fsum(y) / n
+    deviations = [v - mean for v in y]
+    tss = _dot(deviations, deviations)
+    r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
+    return coef, covariance, residuals, residual_scale, r_squared
+
+
 def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     """OLS fit of ``log(y/y0) = alpha + beta log(x/x0)``, with the
     ``gamma log^2(x/x0)`` term if ``spec.include_quadratic`` and one linear
@@ -349,27 +531,33 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     identically zero is dropped and listed in ``dropped_covariates``.  A
     response column that is also the predictor or a covariate raises
     :class:`DataError`: a column regressed on itself fits perfectly.
+
+    A table of ``_NUMPY_ROWS`` rows or more is fitted in numpy, a smaller
+    one on Python floats; the two agree to rounding.
     """
     if spec.response == spec.predictor:
         raise DataError(f"column {spec.response!r} is both the response and the predictor")
     if any(name == spec.response for name, _ in spec.covariates):
         raise DataError(f"column {spec.response!r} is both the response and a covariate")
-    y = _log_ratio_column(ds, spec.response, spec.response_reference, "response")
-    u = _log_ratio_column(ds, spec.predictor, spec.predictor_reference, "predictor")
-    if np.ptp(u) == 0:
+    np = None
+    if ds.n >= _NUMPY_ROWS:
+        import numpy as np
+    y = _log_ratio_column(ds, spec.response, spec.response_reference, "response", np)
+    u = _log_ratio_column(ds, spec.predictor, spec.predictor_reference, "predictor", np)
+    if (max(u) - min(u) if np is None else np.ptp(u)) == 0:
         raise DataError(
             f"predictor {spec.predictor!r} has zero variance in log space"
         )
 
-    columns = [np.ones(ds.n), u]
+    columns = [u]
     labels = ["alpha", "beta"]
     if spec.include_quadratic:
-        columns.append(u * u)
+        columns.append([v * v for v in u] if np is None else u * u)
         labels.append("gamma")
     dropped: list[str] = []
     for name, reference in spec.covariates:
-        values = _ratio_column(ds, name, reference, "covariate")
-        if np.all(values == 0):
+        values = _ratio_column(ds, name, reference, "covariate", np)
+        if not (any(values) if np is None else values.any()):
             # An identically zero covariate contributes nothing; drop it so
             # the remaining fit matches the covariate-free model exactly.
             dropped.append(name)
@@ -377,27 +565,19 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
         columns.append(values)
         labels.append(f"delta[{name}]")
 
-    p = len(columns)
+    p = len(columns) + 1
     minimum = max(3, p + 1)
     if ds.n < minimum:
         raise DataError(
             f"need at least {minimum} rows to fit {p} parameters, got {ds.n}"
         )
 
-    design = np.column_stack(columns)
-    coef, covariance, residuals = _solve_ols(design, y, labels)
-    residual_scale = float(
-        np.abs(y).max() + np.abs(design).max(axis=0) @ np.abs(coef)
-    )
-    rss = float(residuals @ residuals)
-    tss = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
-    r_squared = float(min(1.0, max(0.0, r_squared)))
-
+    solve = _fit_floats if np is None else _fit_arrays
+    coef, covariance, residuals, residual_scale, r_squared = solve(y, columns, labels)
     return FitResult(
         coefficients=coef,
         coefficient_covariance=covariance,
-        r_squared=r_squared,
+        r_squared=min(1.0, max(0.0, r_squared)),
         residuals_log=residuals,
         n=ds.n,
         reference_units=spec,
@@ -455,16 +635,18 @@ def transform_under_unit_change(fit: FitResult, new_reference: Unit) -> FitResul
         )
     shift = math.log(new_reference.scale) - math.log(old.scale)
 
-    transform = np.eye(fit.p)
-    transform[0, 1] = shift
+    transform = [[float(i == j) for j in range(fit.p)] for i in range(fit.p)]
+    transform[0][1] = shift
     if spec.include_quadratic:
-        transform[0, 2] = shift * shift
-        transform[1, 2] = 2.0 * shift
+        transform[0][2] = shift * shift
+        transform[1][2] = 2.0 * shift
+    transformed = [[_dot(row, column) for column in zip(*fit.coefficient_covariance)]
+                   for row in transform]
 
     moved = ModelSpec(spec.response, spec.response_reference, spec.predictor, new_reference,
                       spec.include_quadratic, spec.covariates)
-    return FitResult(transform @ fit.coefficients,
-                     transform @ fit.coefficient_covariance @ transform.T,
+    return FitResult([_dot(row, fit.coefficients) for row in transform],
+                     [[_dot(row, t) for t in transform] for row in transformed],
                      fit.r_squared, fit.residuals_log, fit.n, moved, fit.residual_scale,
                      fit.dropped_covariates)
 
@@ -480,22 +662,25 @@ def residual_distance_ratio(
     In log space the residual is ``log(y_obs / y_fit)``; in natural space it
     is ``y_obs - y_fit`` taken in the response reference unit.  The choice
     decides which point counts as the outlier; see the module docstring.
+
+    In both spaces a point lies on the fit when its log residual is within
+    the rounding error of one residual, ``16 eps`` times the fit's
+    ``residual_scale``: a residual that small is rounding noise.  If B is on
+    the fit the ratio is undefined, a DataError; else, if A is, it is 0.
     """
     if space not in ("log", "natural"):
         raise DataError(f"space must be 'log' or 'natural', got {space!r}")
     if fit.p != 2:
         raise DataError("residual_distance_ratio requires a pure power-law fit")
 
-    def residual(point: tuple[Quantity, Quantity]) -> float:
-        x, y_observed = point
-        fitted = fit.predict(x)
-        if space == "log":
-            return log_ratio(y_observed, fitted)
-        observed = convert(y_observed, fitted.unit)
-        return observed.magnitude - fitted.magnitude
-
-    res_a = residual(point_a)
-    res_b = residual(point_b)
-    if res_b == 0.0:
-        raise DataError("point B lies exactly on the fit; the ratio is undefined")
+    fitted = [(y_observed, fit.predict(x)) for x, y_observed in (point_a, point_b)]
+    res_a, res_b = (log_ratio(y_observed, y_fit) for y_observed, y_fit in fitted)
+    on_fit = 16 * _EPS * fit.residual_scale
+    if abs(res_b) <= on_fit:
+        raise DataError("point B lies on the fit, to rounding; the ratio is undefined")
+    if abs(res_a) <= on_fit:
+        return 0.0
+    if space == "natural":
+        res_a, res_b = (convert(y_observed, y_fit.unit).magnitude - y_fit.magnitude
+                        for y_observed, y_fit in fitted)
     return abs(res_a) / abs(res_b)

@@ -50,8 +50,8 @@ def _layout(ds: DataSet, spec: PlotSpec):
     """Log values of both columns, their padded ranges, and the pixel maps."""
     u = _log_ratio_column(ds, spec.x, spec.x_reference, "x")
     v = _log_ratio_column(ds, spec.y, spec.y_reference, "y")
-    ulo, uhi = _padded(float(u.min()), float(u.max()))
-    vlo, vhi = _padded(float(v.min()), float(v.max()))
+    ulo, uhi = _padded(min(u), max(u))
+    vlo, vhi = _padded(min(v), max(v))
     x_span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     y_span = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -158,7 +158,7 @@ def emit_svg_plot(ds: DataSet, fit: FitResult | None, spec: PlotSpec) -> str:
 
     for uu, vv in zip(u, v):
         out.append(
-            f'<circle cx="{x_map(float(uu)):.6f}" cy="{y_map(float(vv)):.6f}" '
+            f'<circle cx="{x_map(uu):.6f}" cy="{y_map(vv):.6f}" '
             'r="3" fill="steelblue"/>'
         )
 

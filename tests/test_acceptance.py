@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from scalelab.algebra import (
     ScalingRelation,
@@ -50,6 +51,10 @@ from scalelab.units import (
     default_registry,
     parse_quantity,
 )
+
+# Criteria 7, 8 and 10 fit tables; tests/test_fit_paths.py runs them again
+# on the numpy path.
+pytestmark = pytest.mark.usefixtures("float_path")
 
 F = Fraction
 REG = default_registry()

@@ -1,6 +1,6 @@
-"""Commands that need no fitting must start without importing numpy, and
-no command may import ``dataclasses`` (which imports ``inspect``) or
-``csv``.
+"""Commands must start without importing numpy, unless they fit a table of
+``regression._NUMPY_ROWS`` rows or more, and no command may import
+``dataclasses`` (which imports ``inspect``) or ``csv``.
 
 numpy is already loaded in the test process, so each command runs in a
 fresh interpreter that reports its exit code and whether numpy,
@@ -71,16 +71,20 @@ NUMPY = (0, True, False, False)
         (["predict", "fall", "--ref-speed", "150 mph", "--ref-mass", "200 kg", "--mass", "20 g"],
          LEAN),
         (["derive", "--target", "E:J", "--params", "l:m,t:s"], (2, False, False, False)),
-        (["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length", "--y", "price"], NUMPY),
-        (["fit", *FIT_ARGS, "--quadratic", "--json"], NUMPY),
-        (["diagnose", "unit-change", *FIT_ARGS, "--new-x0", "kg", "--quadratic"], NUMPY),
-        (["diagnose", "residuals", *FIT_ARGS, "--row", "0", "--row", "1"], NUMPY),
-        (["plot", *FIT_ARGS, "--fit", "--out", "{tmp}/plot.svg"], NUMPY),
+        (["fit", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length", "--y", "price"], LEAN),
+        (["fit", *FIT_ARGS, "--quadratic", "--json"], LEAN),
+        (["diagnose", "unit-change", *FIT_ARGS, "--new-x0", "kg", "--quadratic"], LEAN),
+        (["diagnose", "residuals", *FIT_ARGS, "--row", "0", "--row", "1"], LEAN),
+        (["plot", *FIT_ARGS, "--fit", "--out", "{tmp}/plot.svg"], LEAN),
+        (["fit", "--csv", "{tmp}/large.csv", "--x", "x", "--y", "y"], NUMPY),
     ],
     ids=["derive", "pi", "blast", "blast-obs", "roast", "hull", "fall", "error", "fit",
-         "fit-quadratic", "unit-change", "residuals", "plot"],
+         "fit-quadratic", "unit-change", "residuals", "plot", "fit-large"],
 )
 def test_what_a_fresh_command_imports(argv, expected, tmp_path):
+    if "{tmp}/large.csv" in argv:  # the control: a table this large is fitted in numpy
+        rows = (f"{i},{i * (1 + i % 3)}" for i in range(1, scalelab.regression._NUMPY_ROWS + 1))
+        (tmp_path / "large.csv").write_text("\n".join(["x[m],y[m]", *rows]) + "\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run_fresh(RUN_COMMAND, json.dumps(argv)) == expected
 
@@ -110,13 +114,16 @@ print(json.dumps([run_command(json.loads(sys.argv[1])), "typing" in sys.modules]
 
 
 def test_import_scalelab_defers_numpy_until_a_lazy_name_is_used():
+    # The name is Column.values: loading and fitting a small table need no numpy.
     script = """
 import scalelab
 before = ["numpy" in sys.modules, "dataclasses" in sys.modules]
-scalelab.csvio.load_csv
-print(json.dumps([*before, "numpy" in sys.modules]))
+column = scalelab.csvio.load_csv(sys.argv[1]).column("mass")
+loaded = "numpy" in sys.modules
+column.values
+print(json.dumps([*before, loaded, "numpy" in sys.modules]))
 """
-    assert run_fresh(script) == (False, False, True)
+    assert run_fresh(script, str(DATA_DIR / "metabolic.csv")) == (False, False, False, True)
 
 
 def test_import_scalelab_derives_no_case_relation():
