@@ -9,9 +9,10 @@ command-line interface.
 Every public name is served by one table, ``_LAZY``, which maps it to its
 defining submodule: ``import scalelab`` loads no submodule, and each one is
 imported when a name from it is first used.  None of them imports numpy
-when it is loaded: ``regression`` and ``csvio`` import it only for tables
-of ``regression._NUMPY_ROWS`` rows or more, or when ``Column.values`` is
-first read, so every command on a smaller table runs without it.
+when it is loaded: ``regression`` and ``svgplot`` import it only for a
+fit or plot of ``regression._NUMPY_ENTRIES`` values or more, rows times
+columns, or when ``Column.values`` is first read, so every command on a
+smaller table runs without it.
 """
 
 __version__ = "0.1.0"

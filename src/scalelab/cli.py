@@ -33,7 +33,7 @@ from .units import Quantity, _real, default_registry, parse_quantity
 
 # csvio, regression and svgplot are imported by the handlers that need them,
 # so derive, pi and predict start without loading them.  None imports numpy
-# below regression._NUMPY_ROWS rows.
+# for a fit or plot below regression._NUMPY_ENTRIES values.
 
 __all__ = ["run_command", "main"]
 

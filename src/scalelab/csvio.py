@@ -16,9 +16,7 @@ one pattern built from that grammar; a line that fails it is read cell by
 cell through the reader of ``units``, which names a bad cell as it names
 a bad number in a quantity, after ``line N, column 'name':``.
 
-Cells are read into Python floats.  A file of ``regression._NUMPY_ROWS``
-data rows or more is checked for cells past the float range in numpy,
-a smaller one without importing it.
+Cells are read into Python floats; loading a file never imports numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import os
 import re
 import tempfile
 
-from . import regression
 from .errors import DataError, ScaleLabError
 from .regression import DataSet
 from .units import _NUMBER, UnitRegistry, _real, _Value, default_registry
@@ -117,26 +114,16 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     # exponent or a run of 200 zeros: below 1e-300, a number whose exponent
     # has at most 2 digits has over 200 zeros before its first other digit.
     width = len(names)
-    if len(values) >= width * regression._NUMPY_ROWS:
-        import numpy as np
-
-        table = np.array(values).reshape(-1, width)
-        suspect = np.isinf(table)
-        if (table == 0).any() and ("0" * 200 in text or _TINY_EXPONENT.search(text)):
-            suspect |= table == 0
-        cells = np.argwhere(suspect).tolist()
-        columns = table.T.copy()
-    else:
-        zeros = 0.0 in values and ("0" * 200 in text or _TINY_EXPONENT.search(text))
-        cells = []
-        if zeros or not all(map(math.isfinite, values)):
-            cells = [divmod(k, width) for k, value in enumerate(values)
-                     if math.isinf(value) or (zeros and value == 0)]
-        columns = [values[j::width] for j in range(width)]
+    zeros = 0.0 in values and ("0" * 200 in text or _TINY_EXPONENT.search(text))
+    cells = []
+    if zeros or not all(map(math.isfinite, values)):
+        cells = [divmod(k, width) for k, value in enumerate(values)
+                 if math.isinf(value) or (zeros and value == 0)]
     for i, j in cells:
         number, line = lines[1 + i]
         _cell(number, names[j], line.split(",")[j])
-    return DataSet({name: (column, unit) for name, unit, column in zip(names, units, columns)})
+    return DataSet({name: (values[j::width], unit)
+                    for j, (name, unit) in enumerate(zip(names, units))})
 
 
 def _newlines(text: str) -> str:

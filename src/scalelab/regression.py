@@ -17,14 +17,15 @@ decomposition rather than the raw normal equations; squared-log regressors
 are nearly collinear with log regressors on narrow ranges, and that route
 keeps them well conditioned.
 
-Columns are stored as 8-byte floats in ``array('d')``.  A table of fewer
-than ``_NUMPY_ROWS`` rows is checked and fitted on Python floats: the QR is
-modified Gram-Schmidt, each column orthogonalised twice, with dot products
-summed by ``math.fsum``; on the augmented matrix ``[X | y]`` it is backward
-stable for least squares (Bjorck, *Numerical Methods for Least Squares
-Problems*, 1996, section 2.4).  So a fit of a small table never imports
-numpy.  A larger table is checked and fitted in numpy, where the stdlib
-column work alone would cost a quarter of a second per column at 1e6 rows.
+Columns are stored as 8-byte floats in ``array('d')``.  A fit whose design
+has fewer than ``_NUMPY_ENTRIES`` entries, rows times parameters, is
+checked and solved on Python floats: the QR is modified Gram-Schmidt, each
+column orthogonalised twice, with dot products summed by ``math.fsum``; on
+the augmented matrix ``[X | y]`` it is backward stable for least squares
+(Bjorck, *Numerical Methods for Least Squares Problems*, 1996, section
+2.4).  So a fit of a small table never imports numpy.  A larger fit is
+checked and solved in numpy, where the stdlib column work alone would cost
+a quarter of a second per column at 1e6 rows.
 
 Fitting is a pure function of (DataSet, ModelSpec); datasets are frozen at
 construction, so fits may run concurrently without coordination.
@@ -54,10 +55,11 @@ from .units import Quantity, Unit, _Value, convert, log_ratio
 if TYPE_CHECKING:
     import numpy
 
-# Tables of at least this many rows are checked and fitted in numpy, smaller
-# ones on Python floats.  At this size a fresh process running
-# ``fit --quadratic --json`` on a 3-column table takes as long either way.
-_NUMPY_ROWS = 60_000
+# A fit whose design has at least this many entries, rows times parameters,
+# is checked and solved in numpy; a smaller one on Python floats.  A fresh
+# ``fit --json`` took as long either way at about 85,000, 55,000 and 31,000
+# rows for 2, 3 and 5 parameters: about this many entries each time.
+_NUMPY_ENTRIES = 160_000
 _EPS = sys.float_info.epsilon
 
 __all__ = [
@@ -111,16 +113,8 @@ class DataSet:
                 raise DataError(
                     f"column {name!r} has {len(data)} rows, expected {n}"
                 )
-            if n >= _NUMPY_ROWS:
-                import numpy as np
-
-                bad = np.flatnonzero(~np.isfinite(np.frombuffer(data)))
-                row = int(bad[0]) if bad.size else None
-            elif all(map(math.isfinite, data)):
-                row = None
-            else:
+            if not all(map(math.isfinite, data)):
                 row = next(i for i, value in enumerate(data) if not math.isfinite(value))
-            if row is not None:
                 raise DataError(
                     f"column {name!r}, row {row}: {data[row]!r} is not a finite number"
                 )
@@ -335,7 +329,19 @@ class FitResult(_Value):
 
 
 def _floats(values) -> tuple[float, ...]:
+    if type(values) is tuple and set(map(type, values)) <= {float}:
+        return values
     return tuple(map(float, values))
+
+
+def _numpy_for(rows: int, columns: int):
+    """The numpy module for work on ``rows`` by ``columns`` values if there
+    are ``_NUMPY_ENTRIES`` of them or more, else None."""
+    if rows * columns < _NUMPY_ENTRIES:
+        return None
+    import numpy
+
+    return numpy
 
 
 def _ratio_column(ds: DataSet, name: str, reference: Unit, what: str, np=None):
@@ -425,7 +431,8 @@ def _fit_arrays(y, columns, labels):
     """Least squares of ndarray ``y`` on an intercept and ``columns``.
 
     Returns (coefficients, covariance, residuals, residual_scale, r_squared),
-    the first three as lists.
+    the first two as lists and the residuals as a tuple, which
+    :class:`FitResult` keeps without a copy.
     """
     import numpy as np
 
@@ -435,7 +442,7 @@ def _fit_arrays(y, columns, labels):
     rss = float(residuals @ residuals)
     tss = float(((y - y.mean()) ** 2).sum())
     r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
-    return coef.tolist(), covariance.tolist(), residuals.tolist(), residual_scale, r_squared
+    return coef.tolist(), covariance.tolist(), tuple(residuals.tolist()), residual_scale, r_squared
 
 
 def _dot(a, b) -> float:
@@ -516,7 +523,7 @@ def _fit_floats(y, columns, labels):
     deviations = [v - mean for v in y]
     tss = _dot(deviations, deviations)
     r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
-    return coef, covariance, residuals, residual_scale, r_squared
+    return coef, covariance, tuple(residuals), residual_scale, r_squared
 
 
 def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
@@ -532,16 +539,15 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     response column that is also the predictor or a covariate raises
     :class:`DataError`: a column regressed on itself fits perfectly.
 
-    A table of ``_NUMPY_ROWS`` rows or more is fitted in numpy, a smaller
-    one on Python floats; the two agree to rounding.
+    A design of ``_NUMPY_ENTRIES`` entries or more, counting every
+    covariate of the spec, is fitted in numpy, a smaller one on Python
+    floats; the two agree to rounding.
     """
     if spec.response == spec.predictor:
         raise DataError(f"column {spec.response!r} is both the response and the predictor")
     if any(name == spec.response for name, _ in spec.covariates):
         raise DataError(f"column {spec.response!r} is both the response and a covariate")
-    np = None
-    if ds.n >= _NUMPY_ROWS:
-        import numpy as np
+    np = _numpy_for(ds.n, 2 + spec.include_quadratic + len(spec.covariates))
     y = _log_ratio_column(ds, spec.response, spec.response_reference, "response", np)
     u = _log_ratio_column(ds, spec.predictor, spec.predictor_reference, "predictor", np)
     if (max(u) - min(u) if np is None else np.ptp(u)) == 0:

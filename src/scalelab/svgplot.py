@@ -10,7 +10,7 @@ unit.
 from __future__ import annotations
 
 from .errors import DataError
-from .regression import DataSet, FitResult, _log_ratio_column
+from .regression import DataSet, FitResult, _log_ratio_column, _numpy_for
 from .units import Unit, _Value
 
 __all__ = ["PlotSpec", "emit_svg_plot"]
@@ -48,8 +48,11 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
 
 def _layout(ds: DataSet, spec: PlotSpec):
     """Log values of both columns, their padded ranges, and the pixel maps."""
-    u = _log_ratio_column(ds, spec.x, spec.x_reference, "x")
-    v = _log_ratio_column(ds, spec.y, spec.y_reference, "y")
+    np = _numpy_for(ds.n, 2)
+    u = _log_ratio_column(ds, spec.x, spec.x_reference, "x", np)
+    v = _log_ratio_column(ds, spec.y, spec.y_reference, "y", np)
+    if np is not None:
+        u, v = u.tolist(), v.tolist()
     ulo, uhi = _padded(min(u), max(u))
     vlo, vhi = _padded(min(v), max(v))
     x_span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT

@@ -1,5 +1,5 @@
-"""Commands must start without importing numpy, unless they fit a table of
-``regression._NUMPY_ROWS`` rows or more, and no command may import
+"""Commands must start without importing numpy, unless they fit a design of
+``regression._NUMPY_ENTRIES`` entries or more, and no command may import
 ``dataclasses`` (which imports ``inspect``) or ``csv``.
 
 numpy is already loaded in the test process, so each command runs in a
@@ -82,8 +82,9 @@ NUMPY = (0, True, False, False)
          "fit-quadratic", "unit-change", "residuals", "plot", "fit-large"],
 )
 def test_what_a_fresh_command_imports(argv, expected, tmp_path):
-    if "{tmp}/large.csv" in argv:  # the control: a table this large is fitted in numpy
-        rows = (f"{i},{i * (1 + i % 3)}" for i in range(1, scalelab.regression._NUMPY_ROWS + 1))
+    if "{tmp}/large.csv" in argv:  # the control: a fit this large runs in numpy
+        n = scalelab.regression._NUMPY_ENTRIES // 2  # a plain fit has 2 parameters
+        rows = (f"{i},{i * (1 + i % 3)}" for i in range(1, n + 1))
         (tmp_path / "large.csv").write_text("\n".join(["x[m],y[m]", *rows]) + "\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert run_fresh(RUN_COMMAND, json.dumps(argv)) == expected

@@ -1,10 +1,11 @@
 """The fit suite on the numpy path, and the parity of the two paths.
 
-``regression.fit`` runs on Python floats below ``_NUMPY_ROWS`` rows and in
-numpy from it on.  tests/test_regression.py and acceptance criteria 7, 8
-and 10 run on the float path; this module runs them again with every table
-on the numpy path, then fits seeded tables of ``_NUMPY_ROWS`` rows on both
-paths and compares the results.
+``regression.fit`` runs on Python floats below ``_NUMPY_ENTRIES`` design
+entries, rows times parameters, and in numpy from it on.
+tests/test_regression.py and acceptance criteria 7, 8 and 10 run on the
+float path; this module runs them again with every table on the numpy
+path, then fits seeded tables of 60,000 rows on both paths and compares
+the results, and plots a table on both paths.
 
 The two paths round differently, so they agree to a tolerance, not to the
 bit.  Over designs from well conditioned to a quadratic with two
@@ -27,12 +28,15 @@ from test_acceptance import (  # noqa: F401
 from test_regression import *  # noqa: F403
 
 import scalelab.regression as regression
-from scalelab.errors import ScaleLabError
+from scalelab.errors import DataError, ScaleLabError
+from scalelab.svgplot import PlotSpec, emit_svg_plot
 from scalelab.units import default_registry
 
 pytestmark = pytest.mark.usefixtures("numpy_path")
 
-ROWS = regression._NUMPY_ROWS
+# Near the threshold: at this size a fit of 2 parameters runs on floats, of 3
+# or more in numpy.
+ROWS = 60_000
 REG = default_registry()
 FT, G, KG, M, W, YR = (REG.symbol(s) for s in ("ft", "g", "kg", "m", "W", "yr"))
 
@@ -46,8 +50,8 @@ def on_both_paths(monkeypatch, call):
     """``call()`` on the float path, then on the numpy path; a ScaleLabError
     is returned as its type and message."""
     outcomes = []
-    for rows in (ABOVE_EVERY_TABLE, 0):
-        monkeypatch.setattr(regression, "_NUMPY_ROWS", rows)
+    for entries in (ABOVE_EVERY_TABLE, 0):
+        monkeypatch.setattr(regression, "_NUMPY_ENTRIES", entries)
         try:
             outcomes.append(call())
         except ScaleLabError as exc:
@@ -141,3 +145,27 @@ def test_both_paths_refuse_a_table_alike(monkeypatch, columns, spec, message):
     floats, arrays = on_both_paths(monkeypatch, lambda: regression.fit(ds, spec))
     assert floats == arrays
     assert floats[1] == message
+
+
+def plot_table(first_y):
+    """500 rows on y = e^0.5 x^1.5, with ``first_y`` in row 0."""
+    u = np.random.default_rng(3).uniform(0.0, 12.0, 500)
+    y = np.exp(0.5 + 1.5 * u)
+    y[0] = first_y
+    return regression.DataSet({"x": (np.exp(u), G), "y": (y, W)})
+
+
+def test_both_paths_plot_alike(monkeypatch):
+    ds = plot_table(math.exp(0.5))
+    floats, arrays = on_both_paths(monkeypatch, lambda: emit_svg_plot(
+        ds, regression.fit(ds, spec_of()), PlotSpec("x", "y", G, W)))
+    assert floats == arrays
+    assert floats.count("<circle") == 500
+
+
+def test_both_paths_refuse_a_plot_alike(monkeypatch):
+    ds = plot_table(-1.5)
+    floats, arrays = on_both_paths(monkeypatch, lambda: emit_svg_plot(
+        ds, None, PlotSpec("x", "y", G, W)))
+    assert floats == arrays == (DataError, "column 'y', row 0: value must be strictly "
+                                           "positive to take a log, got -1.5")
