@@ -75,14 +75,14 @@ def load_csv(path: str, registry: UnitRegistry | None = None) -> DataSet:
     try:
         with open(path, "rb") as handle:
             text = handle.read().decode("utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # exc.start indexes exc.object, the bytes after any byte order mark;
         # the bytes before it decode.
         number = 1 + _newlines(exc.object[:exc.start].decode()).count("\n")
         raise DataError(f"cannot read {path!r}: line {number} is not UTF-8 "
                         f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise DataError(f"cannot read {path!r}: {exc}") from exc
 
     text = _newlines(text)
     lines = [(number, line) for number, line in enumerate(text.split("\n"), start=1)
@@ -171,8 +171,8 @@ def atomic_write(path: str, text: str) -> None:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
-    except OSError as exc:
-        raise DataError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise DataError(f"cannot write {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def save_csv(ds: DataSet, path: str) -> None:

@@ -12,19 +12,21 @@ coefficients in a way this module implements and checks.
 a :class:`ModelSpec` describes.  ``fit_power_law``, ``fit_quadratic_log``
 and ``fit_with_covariates`` delegate to it.
 
-The solver works on a column-equilibrated design matrix through a QR
+One solver, :func:`_solve`, fits a column-equilibrated design through a QR
 decomposition rather than the raw normal equations; squared-log regressors
 are nearly collinear with log regressors on narrow ranges, and that route
-keeps them well conditioned.
+keeps them well conditioned.  It makes every decision on the parameters
+once, on Python floats; only the work that grows with the row count runs
+in one of two kernels, chosen by the size of the design.
 
-Columns are stored as 8-byte floats in ``array('d')``.  A fit whose design
-has fewer than ``_NUMPY_ENTRIES`` entries, rows times parameters, is
-checked and solved on Python floats: the QR is modified Gram-Schmidt, each
-column orthogonalised twice, with dot products summed by ``math.fsum``; on
-the augmented matrix ``[X | y]`` it is backward stable for least squares
-(Bjorck, *Numerical Methods for Least Squares Problems*, 1996, section
-2.4).  So a fit of a small table never imports numpy.  A larger fit is
-checked and solved in numpy, where the stdlib column work alone would cost
+Columns are stored as 8-byte floats in ``array('d')``.  A design of fewer
+than ``_NUMPY_ENTRIES`` entries, rows times parameters, goes to
+:class:`_FloatKernel`: modified Gram-Schmidt on Python floats, dot products
+summed by ``math.fsum``, which on the augmented matrix ``[X | y]`` is
+backward stable for least squares (Bjorck, *Numerical Methods for Least
+Squares Problems*, 1996, section 2.4).  So a fit of a small table never
+imports numpy.  A larger one goes to :class:`_NumpyKernel`, Householder QR
+through ``numpy.linalg.qr``, where the stdlib column work alone would cost
 a quarter of a second per column at 1e6 rows.
 
 Fitting is a pure function of (DataSet, ModelSpec); datasets are frozen at
@@ -394,67 +396,19 @@ def _log_ratio_column(ds: DataSet, name: str, reference: Unit, what: str, np=Non
     return list(map(math.log, ratios)) if np is None else np.log(ratios)
 
 
-def _solve_ols(design: numpy.ndarray, y: numpy.ndarray, labels: Sequence[str]):
-    """Equilibrated QR least squares with a rank check.
-
-    Returns (coefficients, covariance, residuals).
-    """
-    import numpy as np
-
-    n, p = design.shape
-    norms = np.sqrt((design * design).sum(axis=0))
-    if np.any(norms == 0):
-        zero = [labels[i] for i in np.nonzero(norms == 0)[0]]
-        raise CollinearityError(zero)
-    scaled = design / norms
-    q, r = np.linalg.qr(scaled)
-    diag = np.abs(np.diag(r))
-    tol = max(n, p) * np.finfo(float).eps
-    if diag.min() <= tol * diag.max():
-        offenders = [labels[i] for i in np.nonzero(diag <= tol * diag.max())[0]]
-        raise CollinearityError(offenders)
-    coef_scaled = np.linalg.solve(r, q.T @ y)
-    # One step of iterative refinement keeps ill-conditioned (but full-rank)
-    # designs, such as a squared log next to a log over a narrow range, at
-    # machine-level accuracy.
-    coef_scaled += np.linalg.solve(r, q.T @ (y - scaled @ coef_scaled))
-    coef = coef_scaled / norms
-    residuals = y - design @ coef
-    rss = float(residuals @ residuals)
-    sigma2 = rss / (n - p)
-    r_inv = np.linalg.solve(r, np.eye(p))
-    covariance = sigma2 * (r_inv @ r_inv.T) / np.outer(norms, norms)
-    return coef, covariance, residuals
-
-
-def _fit_arrays(y, columns, labels):
-    """Least squares of ndarray ``y`` on an intercept and ``columns``.
-
-    Returns (coefficients, covariance, residuals, residual_scale, r_squared),
-    the first two as lists and the residuals as a tuple, which
-    :class:`FitResult` keeps without a copy.
-    """
-    import numpy as np
-
-    design = np.column_stack([np.ones(len(y)), *columns])
-    coef, covariance, residuals = _solve_ols(design, y, labels)
-    residual_scale = float(np.abs(y).max() + np.abs(design).max(axis=0) @ np.abs(coef))
-    rss = float(residuals @ residuals)
-    tss = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
-    return coef.tolist(), covariance.tolist(), tuple(residuals.tolist()), residual_scale, r_squared
-
-
 def _dot(a, b) -> float:
     return math.fsum(map(operator.mul, a, b))
 
 
-def _project(q: list[list[float]], v: list[float]) -> tuple[list[float], list[float]]:
-    """``Q^T v`` by modified Gram-Schmidt, and what is left of ``v``: each
-    component is taken from what the earlier ones left."""
+def _project(q: list[list[float]], v: list[float],
+             coef: list[float] | None = None) -> tuple[list[float], list[float]]:
+    """The coefficients, and what is left of ``v`` once each column of ``q``
+    times its coefficient is taken away in turn.  The coefficients are
+    ``coef`` or, by default, modified Gram-Schmidt's ``Q^T v``: each is the
+    dot product of its column with what the earlier ones left."""
     components = []
-    for column in q:
-        h = _dot(column, v)
+    for k, column in enumerate(q):
+        h = _dot(column, v) if coef is None else coef[k]
         components.append(h)
         v = [b - h * a for a, b in zip(column, v)]
     return components, v
@@ -468,62 +422,106 @@ def _back_substitute(r: list[list[float]], z: list[float]) -> list[float]:
     return x
 
 
-def _minus_products(y: list[float], columns, coef: list[float]) -> list[float]:
-    """``y - X coef``, for ``X`` given by its columns."""
-    for c, column in zip(coef, columns):
-        y = [v - c * a for v, a in zip(y, column)]
-    return y
+class _FloatKernel:
+    """The work of :func:`_solve` that grows with the row count, on lists of
+    Python floats: modified Gram-Schmidt, twice per column so that Q stays
+    orthogonal to working precision."""
+
+    def __init__(self, y: list[float], columns: list[list[float]]):
+        self.y, self.design = y, [[1.0] * len(y), *columns]
+        self.norms = [math.hypot(*column) for column in self.design]
+        self.largest = [max(map(abs, column)) for column in (y, *self.design)]
+        mean = math.fsum(y) / len(y)
+        deviations = [v - mean for v in y]
+        self.tss = _dot(deviations, deviations)
+
+    def factor(self) -> tuple[list[list[float]], list[float]]:
+        """R of the design with each column divided by its norm, and
+        ``Q^T y``."""
+        self.scaled = [[value / norm for value in column]
+                       for column, norm in zip(self.design, self.norms)]
+        self.q: list[list[float]] = []
+        r = [[0.0] * len(self.norms) for _ in self.norms]
+        for j, column in enumerate(self.scaled):
+            for _ in range(2):
+                components, column = _project(self.q, column)
+                for k, h in enumerate(components):
+                    r[k][j] += h
+            r[j][j] = math.hypot(*column)
+            self.q.append([value / r[j][j] for value in column] if r[j][j] else column)
+        return r, _project(self.q, self.y)[0]
+
+    def correction(self, coef: list[float]) -> list[float]:
+        """``Q^T (y - X coef)``, for ``X`` the design that :meth:`factor` factored."""
+        return _project(self.q, _project(self.scaled, self.y, coef)[1])[0]
+
+    def residuals(self, coef: list[float]) -> tuple[tuple[float, ...], float]:
+        """``y - X coef`` for the design ``X``, and its sum of squares."""
+        residuals = _project(self.design, self.y, coef)[1]
+        return tuple(residuals), _dot(residuals, residuals)
 
 
-def _fit_floats(y, columns, labels):
-    """Least squares of list ``y`` on an intercept and ``columns``, on Python
-    floats; returns what :func:`_fit_arrays` returns, and raises what it
-    raises.
+class _NumpyKernel:
+    """:class:`_FloatKernel` on float64 ndarrays: Householder QR through
+    ``numpy.linalg.qr``, whose R may have negative diagonal entries."""
 
-    The columns are scaled to unit norm; modified Gram-Schmidt, run twice
-    per column so that Q stays orthogonal to working precision, factors
-    them as QR.  One step of iterative refinement follows the solve, as in
-    :func:`_solve_ols`.
-    """
-    n = len(y)
-    design = [[1.0] * n, *columns]
-    p = len(design)
-    norms = [math.hypot(*column) for column in design]
-    zero = [label for label, norm in zip(labels, norms) if norm == 0]
+    def __init__(self, y: numpy.ndarray, columns: list[numpy.ndarray]):
+        import numpy as np
+
+        self.y, self.design = y, np.column_stack([np.ones(len(y)), *columns])
+        self.norms = list(map(math.sqrt, (self.design * self.design).sum(axis=0).tolist()))
+        self.largest = [float(abs(y).max()), *abs(self.design).max(axis=0).tolist()]
+        deviations = y - y.mean()
+        self.tss = float(deviations @ deviations)
+
+    def factor(self) -> tuple[list[list[float]], list[float]]:
+        """As :meth:`_FloatKernel.factor`, dividing the design in place."""
+        import numpy as np
+
+        self.design /= self.norms
+        self.q, r = np.linalg.qr(self.design)
+        return r.tolist(), (self.q.T @ self.y).tolist()
+
+    def correction(self, coef: list[float]) -> list[float]:
+        return (self.q.T @ (self.y - self.design @ coef)).tolist()
+
+    def residuals(self, coef: list[float]) -> tuple[tuple[float, ...], float]:
+        """As :meth:`_FloatKernel.residuals`, from the scaled design."""
+        residuals = self.y - self.design @ [c * norm for c, norm in zip(coef, self.norms)]
+        return tuple(residuals.tolist()), float(residuals @ residuals)
+
+
+def _solve(y, columns, labels: Sequence[str], kernel):
+    """Least squares of ``y`` on an intercept and ``columns`` (parameters
+    ``labels``), ``kernel`` doing the row work: coefficients and covariance
+    as lists, residuals as a tuple, ``residual_scale`` and r^2."""
+    n, p = len(y), len(labels)
+    work = kernel(y, columns)
+    zero = [label for label, norm in zip(labels, work.norms) if norm == 0]
     if zero:
         raise CollinearityError(zero)
-    scaled = [[value / norm for value in column] for column, norm in zip(design, norms)]
-    q: list[list[float]] = []
-    r = [[0.0] * p for _ in range(p)]
-    for j, column in enumerate(scaled):
-        for _ in range(2):
-            components, column = _project(q, column)
-            for k, h in enumerate(components):
-                r[k][j] += h
-        r[j][j] = math.hypot(*column)
-        q.append([value / r[j][j] for value in column] if r[j][j] else column)
-    tol = max(n, p) * _EPS * max(r[j][j] for j in range(p))
-    offenders = [label for j, label in enumerate(labels) if r[j][j] <= tol]
+    r, z = work.factor()
+    diagonal = [abs(row[j]) for j, row in enumerate(r)]
+    tol = max(n, p) * _EPS * max(diagonal)
+    offenders = [label for label, d in zip(labels, diagonal) if d <= tol]
     if offenders:
         raise CollinearityError(offenders)
 
-    coef = _back_substitute(r, _project(q, y)[0])
-    correction = _back_substitute(r, _project(q, _minus_products(y, scaled, coef))[0])
-    coef = [(c + d) / norm for c, d, norm in zip(coef, correction, norms)]
-    residuals = _minus_products(y, design, coef)
+    coef = _back_substitute(r, z)
+    # One step of iterative refinement keeps ill-conditioned (but full-rank)
+    # designs, such as a squared log next to a log over a narrow range, at
+    # machine-level accuracy.
+    correction = _back_substitute(r, work.correction(coef))
+    coef = [(c + d) / norm for c, d, norm in zip(coef, correction, work.norms)]
+    residuals, rss = work.residuals(coef)
 
-    rss = _dot(residuals, residuals)
-    sigma2 = rss / (n - p)
     inverse = [_back_substitute(r, [float(i == j) for i in range(p)]) for j in range(p)]
-    covariance = [[sigma2 * math.fsum(col[i] * col[k] for col in inverse) / (norms[i] * norms[k])
-                   for k in range(p)] for i in range(p)]
-    residual_scale = max(map(abs, y)) + math.fsum(
-        max(map(abs, column)) * abs(c) for column, c in zip(design, coef))
-    mean = math.fsum(y) / n
-    deviations = [v - mean for v in y]
-    tss = _dot(deviations, deviations)
-    r_squared = 1.0 if tss == 0 else 1.0 - rss / tss
-    return coef, covariance, tuple(residuals), residual_scale, r_squared
+    covariance = [[rss / (n - p) * math.fsum(col[i] * col[k] for col in inverse)
+                   / (work.norms[i] * work.norms[k]) for k in range(p)] for i in range(p)]
+    largest_y, *largest = work.largest
+    residual_scale = largest_y + math.fsum(m * abs(c) for m, c in zip(largest, coef))
+    r_squared = 1.0 if work.tss == 0 else 1.0 - rss / work.tss
+    return coef, covariance, residuals, residual_scale, r_squared
 
 
 def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
@@ -540,8 +538,8 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     :class:`DataError`: a column regressed on itself fits perfectly.
 
     A design of ``_NUMPY_ENTRIES`` entries or more, counting every
-    covariate of the spec, is fitted in numpy, a smaller one on Python
-    floats; the two agree to rounding.
+    covariate of the spec, is factored by the numpy kernel, a smaller one
+    by the float kernel; the two agree to rounding.
     """
     if spec.response == spec.predictor:
         raise DataError(f"column {spec.response!r} is both the response and the predictor")
@@ -550,10 +548,6 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     np = _numpy_for(ds.n, 2 + spec.include_quadratic + len(spec.covariates))
     y = _log_ratio_column(ds, spec.response, spec.response_reference, "response", np)
     u = _log_ratio_column(ds, spec.predictor, spec.predictor_reference, "predictor", np)
-    if (max(u) - min(u) if np is None else np.ptp(u)) == 0:
-        raise DataError(
-            f"predictor {spec.predictor!r} has zero variance in log space"
-        )
 
     columns = [u]
     labels = ["alpha", "beta"]
@@ -577,9 +571,13 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
         raise DataError(
             f"need at least {minimum} rows to fit {p} parameters, got {ds.n}"
         )
+    if (max(u) - min(u) if np is None else np.ptp(u)) == 0:
+        raise DataError(
+            f"predictor {spec.predictor!r} has zero variance in log space"
+        )
 
-    solve = _fit_floats if np is None else _fit_arrays
-    coef, covariance, residuals, residual_scale, r_squared = solve(y, columns, labels)
+    kernel = _FloatKernel if np is None else _NumpyKernel
+    coef, covariance, residuals, residual_scale, r_squared = _solve(y, columns, labels, kernel)
     return FitResult(
         coefficients=coef,
         coefficient_covariance=covariance,

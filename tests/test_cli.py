@@ -844,6 +844,24 @@ def test_plot_command_unwritable_path_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--csv", "a\x00b", "--x", "x", "--y", "y"],
+         "error: cannot read 'a\\x00b': embedded null byte\n"),
+        (["plot", "--csv", str(DATA_DIR / "yacht.csv"), "--x", "length", "--y", "price",
+          "--out", "a\x00b"],
+         "error: cannot write 'a\\x00b': embedded null byte\n"),
+    ],
+    ids=["read", "write"],
+)
+def test_a_nul_byte_in_a_path_is_a_data_error(argv, message):
+    """The OS refuses a path holding a NUL byte with a ValueError, not an
+    OSError.  A shell cannot pass one in an argument, so only an in-process
+    caller reaches this."""
+    assert _run(argv) == (2, message)
+
+
 def test_plot_command_quadratic_curve(tmp_path, capsys):
     u = np.linspace(0.0, 12.0, 30)
     rows = ["x[m],y[m]"]

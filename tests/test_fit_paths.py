@@ -5,17 +5,24 @@ entries, rows times parameters, and in numpy from it on.
 tests/test_regression.py and acceptance criteria 7, 8 and 10 run on the
 float path; this module runs them again with every table on the numpy
 path, then fits seeded tables of 60,000 rows on both paths and compares
-the results, and plots a table on both paths.
+the results, and plots a table and prints the CLI's fits of
+tests/data/yacht.csv on both paths.
 
-The two paths round differently, so they agree to a tolerance, not to the
-bit.  Over designs from well conditioned to a quadratic with two
-covariates on a log range of width 0.01, the largest differences seen
-were 2.7e-9 of the largest coefficient, 1.3e-8 of a covariance entry's
-scale, 1.1e-14 in r_squared and 1.4e-15 of ``residual_scale`` in a
-residual; the tolerances below are about ten times those.
+Both paths run one solver; only its column kernels differ, modified
+Gram-Schmidt on floats and Householder QR in numpy, and they round
+differently, so the paths agree to a tolerance, not to the bit.  Over
+designs from well conditioned to a quadratic with two covariates on a log
+range of width 0.01, the largest differences seen were 2.7e-9 of the
+largest coefficient, 1.3e-8 of a covariance entry's scale, 1.1e-14 in
+r_squared and 1.4e-15 of ``residual_scale`` in a residual; the tolerances
+below are about ten times those.
 """
 
+import contextlib
+import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +35,7 @@ from test_acceptance import (  # noqa: F401
 from test_regression import *  # noqa: F403
 
 import scalelab.regression as regression
+from scalelab.cli import run_command
 from scalelab.errors import DataError, ScaleLabError
 from scalelab.svgplot import PlotSpec, emit_svg_plot
 from scalelab.units import default_registry
@@ -59,16 +67,16 @@ def on_both_paths(monkeypatch, call):
     return outcomes
 
 
-def seeded_table(seed, lo, hi, **columns):
-    """``ROWS`` rows: x = e^u with u uniform on [lo, hi], y a noisy power
+def seeded_table(seed, lo, hi, rows=ROWS, **columns):
+    """``rows`` rows: x = e^u with u uniform on [lo, hi], y a noisy power
     law in x with an age effect, covariates ``c1`` and ``c2``, a zero column
     and ``twice`` = 2 c1; ``columns`` replaces any of them."""
     rng = np.random.default_rng(seed)
-    u = rng.uniform(lo, hi, ROWS)
-    c1, c2 = rng.uniform(0.0, 30.0, ROWS), rng.uniform(-5.0, 5.0, ROWS)
-    y = np.exp(0.5 + 1.5 * u + 0.1 * u * u - 0.03 * c1 + rng.normal(0.0, 0.05, ROWS))
+    u = rng.uniform(lo, hi, rows)
+    c1, c2 = rng.uniform(0.0, 30.0, rows), rng.uniform(-5.0, 5.0, rows)
+    y = np.exp(0.5 + 1.5 * u + 0.1 * u * u - 0.03 * c1 + rng.normal(0.0, 0.05, rows))
     table = {"x": (np.exp(u), G), "y": (y, W), "c1": (c1, YR), "c2": (c2, YR),
-             "zero": (np.zeros(ROWS), YR), "twice": (2 * c1, YR)}
+             "zero": (np.zeros(rows), YR), "twice": (2 * c1, YR)}
     return regression.DataSet({**table, **columns})
 
 
@@ -137,8 +145,11 @@ def _with_cell(name, row, value, unit):
          "column 'c2', row 9: 1e+308 m to ft overflows a float"),
         (_with_cell("x", 11, 1e-323, G), spec_of(predictor_reference=KG),
          "column 'x', row 11: 9.88131e-324 g to kg underflows a float to 0"),
+        ({"rows": 0}, spec_of(), "need at least 3 rows to fit 2 parameters, got 0"),
+        ({"rows": 1}, spec_of(), "need at least 3 rows to fit 2 parameters, got 1"),
     ],
-    ids=["collinear", "zero-variance", "negative", "zero", "overflow", "underflow"],
+    ids=["collinear", "zero-variance", "negative", "zero", "overflow", "underflow",
+         "zero-rows", "one-row"],
 )
 def test_both_paths_refuse_a_table_alike(monkeypatch, columns, spec, message):
     ds = seeded_table(2, 0.0, 12.0, **columns)
@@ -169,3 +180,43 @@ def test_both_paths_refuse_a_plot_alike(monkeypatch):
         ds, None, PlotSpec("x", "y", G, W)))
     assert floats == arrays == (DataError, "column 'y', row 0: value must be strictly "
                                            "positive to take a log, got -1.5")
+
+
+YACHT = ["--csv", str(Path(__file__).parent / "data" / "yacht.csv"), "--x", "length",
+         "--y", "price"]
+
+
+def stdout_of(argv):
+    """``(exit code, stdout)`` of one command run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("flags", [[], ["--quadratic"], ["--covariate", "age"]],
+                         ids=["plain", "quadratic", "covariate"])
+def test_both_paths_print_a_fit_alike(monkeypatch, flags):
+    floats, arrays = on_both_paths(monkeypatch, lambda: stdout_of(["fit", *YACHT, *flags]))
+    assert floats == arrays
+    assert floats[0] == 0 and "r_squared = " in floats[1]
+
+
+@pytest.mark.parametrize("flags", [[], ["--quadratic"]], ids=["plain", "quadratic"])
+def test_both_paths_print_a_unit_change_alike_but_its_rounding_residue(monkeypatch, flags):
+    """``diagnose unit-change`` prints each coefficient transformed and
+    refitted, then ``|difference|``: the rounding residue of the two, which
+    each path rounds its own way (1.8e-15 on floats, 2.7e-15 in numpy for
+    alpha in the plain fit).  Every other byte is the same on both paths,
+    and the residue is below 16 eps of the largest coefficient."""
+    argv = ["diagnose", "unit-change", *YACHT, "--new-x0", "m", *flags]
+    outputs = []
+    for code, out in on_both_paths(monkeypatch, lambda: stdout_of(argv)):
+        assert code == 0
+        lines = out.splitlines()
+        rows = lines[2:-2]  # between the column header and the last two lines
+        residues = [float(line.split()[-1]) for line in [*rows, lines[-2]]]
+        largest = max(abs(float(line.split()[1])) for line in rows)
+        assert max(residues) <= 16 * sys.float_info.epsilon * largest
+        outputs.append([*lines[:2], *(line.rsplit(None, 1)[0] for line in rows), lines[-1]])
+    assert outputs[0] == outputs[1]
