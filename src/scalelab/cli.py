@@ -8,6 +8,12 @@ print numbers to 6 significant digits; pass ``--json`` for a flat
 full-precision dump.  The ``predict`` subcommands of the worked cases that
 take only quantities are built from the rows of ``casebook.CASES``.
 
+Each handler returns its report text and, for a command that takes
+``--json``, its JSON fields (``None`` otherwise); it prints nothing.
+``run_command`` writes one of the two to stdout once the handler has
+returned, so a command that fails writes nothing to stdout, only its
+one-line error to stderr.
+
 Quantities on the command line follow the same grammar as everywhere
 else: ``"<number> <unit-expression>"``, e.g. ``--mass "5 kg"``.  Dimension
 arguments for derivations are ``name:<unit-expression>`` with an optional
@@ -188,45 +194,33 @@ def _load_with_spec(args):
     return ds, spec
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args) -> tuple[str, dict | None]:
     name, target = _parse_named_dimension(args.target)
     params = _parse_quantity_list(args.params)
     try:
         relation = solve_target_exponents(target, params, target_name=name)
     except UnderdeterminedError as err:
-        print(f"underdetermined: {err.free_directions} free direction(s)")
-        print("dimensionless groups of the parameters:")
-        for group in pi_basis(params):
-            print(f"  {group.render()}")
-        return 0
-    print(relation.render())
-    return 0
+        lines = [f"underdetermined: {err.free_directions} free direction(s)",
+                 "dimensionless groups of the parameters:"]
+        lines += [f"  {group.render()}" for group in pi_basis(params)]
+        return "\n".join(lines), None
+    return relation.render(), None
 
 
-def _cmd_pi(args) -> int:
-    quantities = _parse_quantity_list(args.quantities)
-    groups = pi_basis(quantities)
-    if not groups:
-        print("no dimensionless groups")
-        return 0
-    for group in groups:
-        print(group.render())
-    return 0
+def _cmd_pi(args) -> tuple[str, dict | None]:
+    groups = pi_basis(_parse_quantity_list(args.quantities))
+    return "\n".join(group.render() for group in groups) or "no dimensionless groups", None
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple[str, dict | None]:
     from .regression import fit
 
     ds, spec = _load_with_spec(args)
     result = fit(ds, spec)
-    if args.json:
-        print(json.dumps(dict(result.report_fields())))
-    else:
-        print(result.report())
-    return 0
+    return result.report(), dict(result.report_fields())
 
 
-def _cmd_unit_change(args) -> int:
+def _cmd_unit_change(args) -> tuple[str, dict | None]:
     from .regression import fit, transform_under_unit_change
 
     ds, spec = _load_with_spec(args)
@@ -234,27 +228,23 @@ def _cmd_unit_change(args) -> int:
     new_x0 = default_registry().resolve(args.new_x0)
     transformed = transform_under_unit_change(original, new_x0)
     refit = fit(ds, transformed.reference_units)
-    labels = transformed.coefficient_labels()
-    t_vec = transformed.coefficients
-    r_vec = refit.coefficients
-    max_diff = max(abs(t - r) for t, r in zip(t_vec, r_vec))
-    if args.json:
-        payload = {"new_x0": new_x0.symbol, "max_abs_difference": max_diff}
-        for label, t, r in zip(labels, t_vec, r_vec):
-            payload[f"transformed[{label}]"] = t
-            payload[f"refit[{label}]"] = r
-        print(json.dumps(payload))
-        return 0
-    print(f"reference change: {spec.predictor_reference.symbol} -> {new_x0.symbol}")
-    print(f"{'coefficient':<14}{'transformed':>16}{'refit':>16}{'|difference|':>16}")
-    for label, t, r in zip(labels, t_vec, r_vec):
-        print(f"{label:<14}{_fmt(t):>16}{_fmt(r):>16}{_fmt(abs(t - r)):>16}")
-    print(f"max |transformed - refit| = {_fmt(max_diff)}")
-    print(f"r_squared unchanged: {_fmt(transformed.r_squared)}")
-    return 0
+    lines = [f"reference change: {spec.predictor_reference.symbol} -> {new_x0.symbol}",
+             f"{'coefficient':<14}{'transformed':>16}{'refit':>16}{'|difference|':>16}"]
+    coefficients, differences = {}, []
+    for label, t, r in zip(transformed.coefficient_labels(), transformed.coefficients,
+                           refit.coefficients):
+        differences.append(abs(t - r))
+        lines.append(f"{label:<14}{_fmt(t):>16}{_fmt(r):>16}{_fmt(differences[-1]):>16}")
+        coefficients[f"transformed[{label}]"] = t
+        coefficients[f"refit[{label}]"] = r
+    max_diff = max(differences)
+    lines.append(f"max |transformed - refit| = {_fmt(max_diff)}")
+    lines.append(f"r_squared unchanged: {_fmt(transformed.r_squared)}")
+    return "\n".join(lines), {"new_x0": new_x0.symbol, "max_abs_difference": max_diff,
+                              **coefficients}
 
 
-def _cmd_residuals(args) -> int:
+def _cmd_residuals(args) -> tuple[str, dict | None]:
     if len(args.row) != 2:
         raise _UsageError("--row must be given exactly twice (rows A and B)", "")
     from .regression import fit, residual_distance_ratio
@@ -276,21 +266,15 @@ def _cmd_residuals(args) -> int:
             )
         )
     ratio = residual_distance_ratio(points[0], points[1], result, space=args.space)
-    if args.json:
-        print(json.dumps({"space": args.space, "row_a": args.row[0],
-                          "row_b": args.row[1], "distance_ratio": ratio}))
-    else:
-        print(
-            f"|residual(row {args.row[0]})| / |residual(row {args.row[1]})| "
-            f"in {args.space} space = {_fmt(ratio)}"
-        )
-    return 0
+    row_a, row_b = args.row
+    text = (f"|residual(row {row_a})| / |residual(row {row_b})| "
+            f"in {args.space} space = {_fmt(ratio)}")
+    return text, {"space": args.space, "row_a": row_a, "row_b": row_b,
+                  "distance_ratio": ratio}
 
 
-def _report_out(report, as_json: bool) -> int:
-    if not as_json:
-        print(report.render())
-        return 0
+def _case_output(report) -> tuple[str, dict]:
+    """A worked case's report text and its JSON fields."""
     si = report.prediction.in_si()
     payload = {"case": report.title,
                **{f"input[{name}]": str(quantity) for name, quantity in report.inputs},
@@ -299,11 +283,10 @@ def _report_out(report, as_json: bool) -> int:
     if report.display is not None:
         payload.update(display=report.display.magnitude,
                        display_unit=report.display.unit.symbol)
-    print(json.dumps(payload))
-    return 0
+    return report.render(), payload
 
 
-def _cmd_blast(args) -> int:
+def _cmd_blast(args) -> tuple[str, dict | None]:
     cfg = casebook.BlastConfig(prefactor=_real(args.prefactor), rho=parse_quantity(args.rho))
     if args.obs:
         if args.energy is not None or args.time is not None:
@@ -316,22 +299,22 @@ def _cmd_blast(args) -> int:
                     f"expected 'RADIUS @ TIME', got {item!r}"
                 )
             observations.append((parse_quantity(left.strip()), parse_quantity(right.strip())))
-        return _report_out(casebook.yield_report(cfg, observations), args.json)
+        return _case_output(casebook.yield_report(cfg, observations))
     if args.energy is None or args.time is None:
         raise _UsageError("blast needs --energy and --time, or --obs", "")
     energy, t = parse_quantity(args.energy), parse_quantity(args.time)
-    return _report_out(casebook.blast_report(cfg, energy, t), args.json)
+    return _case_output(casebook.blast_report(cfg, energy, t))
 
 
-def _cmd_case(args) -> int:
+def _cmd_case(args) -> tuple[str, dict | None]:
     # Looked up when the command runs, so a rebound casebook attribute is the
     # report that runs.
     report = getattr(casebook, f"{args.case}_report")
     quantities = [parse_quantity(getattr(args, dest)) for dest in args.quantities]
-    return _report_out(report(*quantities), args.json)
+    return _case_output(report(*quantities))
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> tuple[str, dict | None]:
     from .csvio import atomic_write
     from .regression import fit
     from .svgplot import PlotSpec, emit_svg_plot
@@ -346,8 +329,7 @@ def _cmd_plot(args) -> int:
     )
     svg = emit_svg_plot(ds, result, plot_spec)
     atomic_write(args.out, svg)
-    print(f"wrote {args.out}")
-    return 0
+    return f"wrote {args.out}", None
 
 
 def run_command(argv) -> int:
@@ -363,7 +345,9 @@ def run_command(argv) -> int:
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        text, fields = args.handler(args)
+        print(text if fields is None or not args.json else json.dumps(fields))
+        return 0
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

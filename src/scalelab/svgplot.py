@@ -48,6 +48,8 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
 
 def _layout(ds: DataSet, spec: PlotSpec):
     """Log values of both columns, their padded ranges, and the pixel maps."""
+    if not ds.n:
+        raise DataError("cannot plot a table of 0 rows")
     np = _numpy_for(ds.n, 2)
     u = _log_ratio_column(ds, spec.x, spec.x_reference, "x", np)
     v = _log_ratio_column(ds, spec.y, spec.y_reference, "y", np)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import scalelab
 from scalelab.cli import run_command
 from scalelab.csvio import dump_csv, load_csv, parse_header, save_csv
-from scalelab.errors import DataError, ScaleLabError, UnknownUnitError
+from scalelab.errors import DataError, DerivationError, ScaleLabError, UnknownUnitError
 from scalelab.regression import (
     DataSet,
     ModelSpec,
@@ -447,6 +447,20 @@ def test_internal_error_is_one_line_and_exit_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: case broke\n"
+
+
+def test_a_command_that_fails_after_its_header_writes_no_stdout(monkeypatch, capsys):
+    # An underdetermined derive has a header to print before pi_basis runs;
+    # output is written only once the handler has returned.
+    import scalelab.cli as cli
+
+    def failing(params):
+        raise DerivationError("basis broke")
+
+    monkeypatch.setattr(cli, "pi_basis", failing)
+    argv = ["derive", "--target", "v:m s^-1", "--params", "l:m,t:s,w:m s^-1"]
+    assert run_command(argv) == 2
+    assert capsys.readouterr() == ("", "error: basis broke\n")
 
 
 @pytest.mark.parametrize(

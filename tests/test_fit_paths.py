@@ -174,12 +174,19 @@ def test_both_paths_plot_alike(monkeypatch):
     assert floats.count("<circle") == 500
 
 
-def test_both_paths_refuse_a_plot_alike(monkeypatch):
-    ds = plot_table(-1.5)
+@pytest.mark.parametrize(
+    "ds, message",
+    [
+        (plot_table(-1.5),
+         "column 'y', row 0: value must be strictly positive to take a log, got -1.5"),
+        (regression.DataSet({"x": ([], G), "y": ([], W)}), "cannot plot a table of 0 rows"),
+    ],
+    ids=["negative", "zero-rows"],
+)
+def test_both_paths_refuse_a_plot_alike(monkeypatch, ds, message):
     floats, arrays = on_both_paths(monkeypatch, lambda: emit_svg_plot(
         ds, None, PlotSpec("x", "y", G, W)))
-    assert floats == arrays == (DataError, "column 'y', row 0: value must be strictly "
-                                           "positive to take a log, got -1.5")
+    assert floats == arrays == (DataError, message)
 
 
 YACHT = ["--csv", str(Path(__file__).parent / "data" / "yacht.csv"), "--x", "length",
