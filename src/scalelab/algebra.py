@@ -9,25 +9,24 @@ the elimination is fraction-free over the integer numerators that each
 denominator for the whole matrix, and the substitution check is one
 integer matrix-vector product.
 
-Both derivations read one elimination of the parameter matrix ``A``, kept
-per parameter list in a small cache, so solving for a target and
-computing the groups of the same parameters eliminate ``A`` once.  The
-elimination is Gauss-Jordan with the Bareiss update: it ends in a reduced
-echelon form whose pivots all equal the last pivot ``d``, and it records
-each pivot step (row swap, pivot, previous pivot, multipliers) so that a
-target column ``t`` is reduced by the same integer arithmetic.  If the
-reduced ``t`` is nonzero below the rank the target is impossible; if the
-rank is below ``n`` there are ``n - rank`` free directions; otherwise the
-unique exponents of ``A x = t`` are the reduced ``t`` over ``d``.  The
-group of a free column ``f`` is read off the echelon in the same way:
-``x_f = d``, and each pivot variable is minus its row's entry in column
-``f``.  Only the elimination is cached: every answer is built and checked
-by substitution on each call.
+A derivation is one elimination of ``[A | t]``: a column of ``A`` per
+parameter and, when solving, the target ``t`` as one more column, which
+every step reduces but none takes as its pivot.  The elimination is
+Gauss-Jordan with the Bareiss update and ends in a reduced echelon form
+whose pivots all equal the last pivot ``d``.  If the reduced ``t`` is
+nonzero below the rank the target is impossible; if the rank is below
+``n`` there are ``n - rank`` free directions; otherwise the unique
+exponents of ``A x = t`` are the reduced ``t`` over ``d``.  The group of a
+free column ``f`` is read off the same echelon: ``x_f = d``, and each
+pivot variable is minus its row's entry in column ``f``.  Every answer is
+checked by substitution on each call.
 
-Everything here is a pure function over immutable values; the caches
-(elimination per parameter list, evaluation plan per relation shape) are
-bounded, keyed by value, hold immutable results and are safe to share
-across threads.
+Everything here is a pure function over immutable values.  The state is
+a bounded cache of evaluation plans per relation shape, keyed by value,
+and a memo of the last parameter list eliminated for a target, which
+:func:`pi_basis` reads when it is called on that list next, as a derive
+does.  Both hold immutable results, and the memo is one tuple rebound at
+once, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -234,17 +233,24 @@ class PiGroup(_Value):
         return self.render()
 
 
-@functools.lru_cache(maxsize=64)
-def _elimination(params: tuple[tuple[str, tuple[int, ...], int], ...]):
-    """Fraction-free Gauss-Jordan elimination of one parameter list.
+# The last parameter list eliminated for a target, and its elimination.
+_memo: tuple = ((), None)
 
-    ``params`` holds each quantity's name and its Dimension's numerators
-    and denominator, one column per quantity; a repeated name raises
-    :class:`RelationError`.  Row ``r`` of the integer matrix holds
-    ``common`` times each column's exponent of base dimension ``r``,
+
+def _elimination(params, target: Dimension | None = None):
+    """Fraction-free Gauss-Jordan elimination of ``[A | t]``.
+
+    ``params`` is any iterable of ``(name, Dimension)`` pairs, one column
+    of ``A`` each, and ``target``, if given, is the column ``t`` after
+    them.  An empty list raises :class:`RelationError`, as do a repeated
+    name and an entry that is not such a pair, whose name is not hashable
+    or whose dimension has no integer form (``numerators`` and
+    ``denominator``), naming that entry.  Row ``r`` of the integer matrix
+    holds ``common`` times each column's exponent of base dimension ``r``,
     ``common`` the lcm of the denominators; one factor for the whole
     matrix leaves its row space and null space as they are.  Pivot columns
-    are chosen left to right.
+    are chosen left to right among the parameters; ``t`` is reduced by
+    every step but is never a pivot.
 
     Each pivot step applies the Bareiss update
     ``row[j] = (pivot * row[j] - m * top[j]) // prev`` to every other row,
@@ -253,59 +259,14 @@ def _elimination(params: tuple[tuple[str, tuple[int, ...], int], ...]):
     column is zero but for its pivot, and every pivot equals the last one,
     ``d`` (1 when there is none).
 
-    Returns ``(names, rows, common, echelon, pivots, d, steps)``: the
-    names, the scaled rows, ``common``, the reduced echelon rows, the
-    pivot column indices, ``d``, and per pivot the step ``(swap, pivot,
-    previous pivot, multipliers)`` that :func:`_reduce_column` replays on
-    another column, the multipliers as ``(row index, m)`` pairs; a row the
-    update leaves as it is (``m`` 0 and ``pivot == prev``) has no pair.
-    Every part is an immutable tuple.
+    Returns ``(names, rows, common, echelon, pivots, d)``: the names, the
+    scaled rows, ``common``, the reduced echelon rows, the pivot column
+    indices and ``d``, each an immutable tuple, the rows and echelon rows
+    with ``t`` last when there is a target.  An elimination for a target
+    is kept as the memo; without a target, the memo's is returned when
+    its list is the same.
     """
-    names = [name for name, _, _ in params]
-    if len(set(names)) != len(names):
-        raise RelationError(f"duplicate quantity names in {names}")
-    common = math.lcm(*[d for _, _, d in params])
-    rows = tuple(zip(*[
-        nums if d == common else [n * (common // d) for n in nums]
-        for _, nums, d in params
-    ]))
-    matrix = [list(row) for row in rows]
-    pivots, steps = [], []
-    prev = 1
-    for c in range(len(params)):
-        r = len(pivots)
-        for swap in range(r, len(matrix)):
-            if matrix[swap][c]:
-                break
-        else:
-            continue
-        matrix[r], matrix[swap] = matrix[swap], matrix[r]
-        top = matrix[r]
-        pivot = top[c]
-        multipliers = []
-        for i, row in enumerate(matrix):
-            m = row[c]
-            if i != r and (m or pivot != prev):  # else the update leaves the row as it is
-                multipliers.append((i, m))
-                if m or any(row):  # a zero row stays zero
-                    matrix[i] = [(pivot * a - m * b) // prev for a, b in zip(row, top)]
-        steps.append((swap, pivot, prev, tuple(multipliers)))
-        prev = pivot
-        pivots.append(c)
-    return (tuple(names), rows, common, tuple(map(tuple, matrix)), tuple(pivots), prev,
-            tuple(steps))
-
-
-def _eliminated(params):
-    """:func:`_elimination` of ``params``, any iterable of ``(name, Dimension)``
-    pairs, keyed once by each name and its Dimension's integer form.
-
-    An empty list raises :class:`RelationError`, as does an entry that is
-    not such a pair, whose name the cache cannot hash or whose dimension
-    has no integer form (``numerators`` and ``denominator``), naming that
-    entry.  Reading those integers is the dimension check: no isinstance
-    test runs per call, and the cache hashes and compares ints and strs.
-    """
+    global _memo
     key, entry = [], params  # entry: what an error names, params if not iterable
     try:
         for entry in params:
@@ -316,18 +277,42 @@ def _eliminated(params):
         raise RelationError(f"quantities must be (name, Dimension) pairs; got {entry!r}") from None
     if not key:
         raise RelationError("at least one quantity is required")
-    return _elimination(tuple(key))
-
-
-def _reduce_column(steps, column: list[int]) -> list[int]:
-    """``column`` (modified in place) taken through the recorded pivot
-    steps, as the elimination reduces the last column of ``[A | column]``."""
-    for r, (swap, pivot, prev, multipliers) in enumerate(steps):
-        column[r], column[swap] = column[swap], column[r]
-        top = column[r]
-        for i, m in multipliers:
-            column[i] = (pivot * column[i] - m * top) // prev
-    return column
+    key = tuple(key)
+    memo = _memo
+    if target is None and memo[0] == key:
+        return memo[1]
+    names = [name for name, _, _ in key]
+    if len(set(names)) != len(names):
+        raise RelationError(f"duplicate quantity names in {names}")
+    columns = [(nums, d) for _, nums, d in key]
+    if target is not None:
+        columns.append((target.numerators, target.denominator))
+    common = math.lcm(*[d for _, d in columns])
+    rows = tuple(zip(*[nums if d == common else [n * (common // d) for n in nums]
+                       for nums, d in columns]))
+    matrix = [list(row) for row in rows]
+    pivots = []
+    prev = 1
+    for c in range(len(names)):
+        r = len(pivots)
+        for swap in range(r, len(matrix)):
+            if matrix[swap][c]:
+                break
+        else:
+            continue
+        matrix[r], matrix[swap] = matrix[swap], matrix[r]
+        top = matrix[r]
+        pivot = top[c]
+        for i, row in enumerate(matrix):
+            m = row[c]
+            if i != r and (m or pivot != prev and any(row)):  # else the row stays as it is
+                matrix[i] = [(pivot * a - m * b) // prev for a, b in zip(row, top)]
+        prev = pivot
+        pivots.append(c)
+    elimination = tuple(names), rows, common, tuple(map(tuple, matrix)), tuple(pivots), prev
+    if target is not None:
+        _memo = key, elimination
+    return elimination
 
 
 def _product(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> list[int]:
@@ -353,37 +338,28 @@ def solve_target_exponents(
     """
     if not isinstance(target, Dimension):
         raise RelationError(f"target {target!r} is a {type(target).__name__}, not a Dimension")
-    names, rows, common, _, pivots, last, steps = _eliminated(params)
+    names, rows, common, echelon, pivots, last = _elimination(params, target)
     n = len(names)
-    # rows is common * A.  With c = scale * common the lcm of common and
-    # the target's denominator, c * t is integral, and rows y = c * t is
-    # solved by y = scale * x.
-    scale = math.lcm(common, target.denominator) // common
-    factor = common * scale // target.denominator
-    column = [v * factor for v in target.numerators]
-    reduced = _reduce_column(steps, list(column))
-    if any(reduced[len(pivots):]):
+    if any(row[n] for row in echelon[len(pivots):]):
         raise InconsistentDimensionsError(
             f"target [{target}] is dimensionally impossible from "
             f"{', '.join(names)}"
         )
     if len(pivots) < n:
         raise UnderdeterminedError(n - len(pivots))
-    # Full rank: pivot i sits in column i, so d y_i = reduced[i].
-    solution = reduced[:n]
+    # Full rank: pivot i sits in column i, so d x_i is row i's entry in t.
+    solution = [row[n] for row in echelon[:n]]
     if last < 0:
         last, solution = -last, [-v for v in solution]
     total = _product(rows, solution)
-    if total != [last * v for v in column]:
+    if total != [last * row[n] for row in rows]:
         raise DerivationError(
             f"internal check failed: substitution gives "
-            f"[{_dimension(*_reduced(tuple(total), common * scale * last))}], "
+            f"[{_dimension(*_reduced(tuple(total), common * last))}], "
             f"expected [{target}]"
         )
-    denominator = last * scale
     return ScalingRelation(
-        target_name,
-        {name: Fraction(v, denominator) for name, v in zip(names, solution)},
+        target_name, {name: Fraction(v, last) for name, v in zip(names, solution)}
     )
 
 
@@ -407,7 +383,7 @@ def pi_basis(quantities: Sequence[tuple[str, Dimension]]) -> list[PiGroup]:
     deterministic.  A list that is empty or not ``(name, Dimension)``
     pairs raises :class:`RelationError`.
     """
-    names, rows, common, echelon, pivots, last, _ = _eliminated(quantities)
+    names, rows, common, echelon, pivots, last = _elimination(quantities)
     basis = []
     for free in (c for c in range(len(names)) if c not in pivots):
         # d x_c + row[free] x_free = 0 for each pivot row: x_free = d.

@@ -287,13 +287,21 @@ class FitResult(_Value):
         """Fitted response at x, as a quantity in the response reference unit.
 
         Only defined for fits without covariates (there is no single fitted
-        curve otherwise).
+        curve otherwise).  A fitted value beyond the float range raises
+        :class:`DataError` naming ``x``.
         """
         if self.covariate_coefficients:
             raise DataError("predict is only defined for covariate-free fits")
         spec = self.reference_units
         u = log_ratio(x, Quantity(1.0, spec.predictor_reference))
-        return Quantity(math.exp(self.predicted_log(u)), spec.response_reference)
+        try:
+            magnitude = math.exp(self.predicted_log(u))
+        except OverflowError:
+            magnitude = math.inf
+        if not 0 < magnitude < math.inf:
+            ending = "underflows a float to 0" if magnitude == 0 else "overflows a float"
+            raise DataError(f"the fitted {spec.response!r} at {x} {ending}")
+        return Quantity(magnitude, spec.response_reference)
 
     def report_fields(self) -> list[tuple[str, object]]:
         """Flat key-value view in deterministic order."""
@@ -469,8 +477,11 @@ class _NumpyKernel:
         import numpy as np
 
         self.y, self.design = y, np.column_stack([np.ones(len(y)), *columns])
-        self.norms = list(map(math.sqrt, (self.design * self.design).sum(axis=0).tolist()))
-        self.largest = [float(abs(y).max()), *abs(self.design).max(axis=0).tolist()]
+        largest = abs(self.design).max(axis=0)
+        self.largest = [float(abs(y).max()), *largest.tolist()]
+        # Each column over its largest magnitude, so no square under- or overflows.
+        scaled = self.design / np.where(largest > 0, largest, 1.0)
+        self.norms = (largest * np.sqrt(np.einsum("ij,ij->j", scaled, scaled))).tolist()
         deviations = y - y.mean()
         self.tss = float(deviations @ deviations)
 
@@ -519,8 +530,13 @@ def _solve(y, columns, labels: Sequence[str], kernel):
     residuals, rss = work.residuals(coef)
 
     inverse = [_back_substitute(r, [float(i == j) for i in range(p)]) for j in range(p)]
+    # Unscaled one norm at a time: their product can leave the float range.
     covariance = [[rss / (n - p) * math.fsum(col[i] * col[k] for col in inverse)
-                   / (work.norms[i] * work.norms[k]) for k in range(p)] for i in range(p)]
+                   / work.norms[i] / work.norms[k] for k in range(p)] for i in range(p)]
+    for i, label in enumerate(labels):
+        if rss and not sys.float_info.min <= covariance[i][i] <= sys.float_info.max:
+            ending = "overflows a float" if covariance[i][i] > 1 else "underflows a float"
+            raise DataError(f"the variance of {label} {ending}")
     largest_y, *largest = work.largest
     residual_scale = largest_y + math.fsum(m * abs(c) for m, c in zip(largest, coef))
     r_squared = 1.0 if work.tss == 0 else 1.0 - rss / work.tss
@@ -539,6 +555,9 @@ def fit(ds: DataSet, spec: ModelSpec) -> FitResult:
     identically zero is dropped and listed in ``dropped_covariates``.  A
     response column that is also the predictor or a covariate raises
     :class:`DataError`: a column regressed on itself fits perfectly.
+
+    A coefficient whose variance leaves the float range, while the
+    residuals are not all 0, raises :class:`DataError` naming it.
 
     A design of ``_NUMPY_ENTRIES`` entries or more, counting every
     covariate of the spec, is factored by the numpy kernel, a smaller one

@@ -139,7 +139,7 @@ def test_a_malformed_parameter_list_names_the_entry(derive, message):
 
 
 def test_duplicate_parameter_names_rejected():
-    # The check runs in the cached elimination; an exception is not cached,
+    # The check runs in the elimination; an exception is not memoized,
     # so every call raises it again.
     params = [("a", LENGTH), ("a", TIME)]
     for call in [lambda: solve_target_exponents(LENGTH, params),
@@ -167,7 +167,7 @@ def test_impossible_takes_precedence_over_underdetermined():
             lambda: solve_target_exponents(
                 VELOCITY, [("g", GRAVITY), ("l", LENGTH)], target_name="v"
             ),
-            "substitution gives [L T^-2], expected [L T^-1]",
+            "substitution gives [L^2 T^-2], expected [L T^-1]",
         ),
         (
             lambda: pi_basis(
@@ -182,16 +182,14 @@ def test_a_wrong_elimination_fails_the_internal_check(monkeypatch, derive, messa
     derive()  # the unpatched path passes its own check
     real = algebra._elimination
 
-    def off_by_one(key):
-        # Add 1 to each nonzero multiplier of the first step, which a target
-        # column replays (here the target stays in the span), and to every
-        # echelon entry, which the groups are read off.
-        names, rows, common, echelon, pivots, last, steps = real(key)
-        (swap, pivot, prev, multipliers), *rest = steps
-        multipliers = tuple([(i, m + 1 if m else 0) for i, m in multipliers])
-        steps = ((swap, pivot, prev, multipliers), *rest)
-        echelon = tuple([tuple([v + 1 for v in row]) for row in echelon])
-        return names, rows, common, echelon, pivots, last, steps
+    def off_by_one(params, target=None):
+        # Add 1 to every entry of the pivot rows, the target column's
+        # included, which the exponents and the groups are read off; the
+        # rows below the rank stay zero, so the target stays in the span.
+        names, rows, common, echelon, pivots, last = real(params, target)
+        echelon = tuple([tuple([v + 1 for v in row]) if i < len(pivots) else row
+                         for i, row in enumerate(echelon)])
+        return names, rows, common, echelon, pivots, last
 
     monkeypatch.setattr(algebra, "_elimination", off_by_one)
     with pytest.raises(DerivationError, match=f"^internal check failed: {re.escape(message)}$"):
@@ -205,7 +203,7 @@ def test_a_negative_last_pivot_is_read_with_its_sign():
     # G's mass exponent -1 is the first pivot, and every pivot ends as the
     # last one, -2: the answers are the reduced column over it, negated.
     params = [("G", KEPLER_G), ("M", MASS), ("a", LENGTH)]
-    assert algebra._eliminated(params)[5] == -2
+    assert algebra._elimination(params)[5] == -2
     assert solve_target_exponents(TIME, params, "T") == ScalingRelation(
         "T", {"G": "-1/2", "M": "-1/2", "a": "3/2"}
     )
@@ -220,7 +218,7 @@ def test_a_read_off_group_has_its_gcd_divided_out():
     # An area's pivot is 2, so the second moment of area (L^4) reads off
     # as x_I = 2, x_A = -4: the group is (2, -1) once the 2 is divided out.
     params = [("A", Dimension(length=F(2))), ("I", Dimension(length=F(4)))]
-    assert algebra._eliminated(params)[3][0] == (2, 4)
+    assert algebra._elimination(params)[3][0] == (2, 4)
     assert [g.exponents for g in pi_basis(params)] == [(2, -1)]
 
 
@@ -792,23 +790,44 @@ def _check_groups_against_oracle(params, groups):
         assert len(pivots) == len(groups)  # independent
 
 
+def _reset_memo():
+    algebra._memo = ((), None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_oracle_problems())
 def test_derivations_agree_with_an_independent_oracle(problem):
     params, (target, other) = problem
-    algebra._elimination.cache_clear()
+    _reset_memo()
     solved = _solved(target, params)  # solve, then pi over the same matrix
     groups = pi_basis(params)
     _check_against_oracle(params, target, solved)
     _check_groups_against_oracle(params, groups)
 
-    algebra._elimination.cache_clear()
+    _reset_memo()
     assert pi_basis(params) == groups  # pi, then solve
     assert _solved(target, params) == solved
 
-    algebra._elimination.cache_clear()
+    _reset_memo()
     _check_against_oracle(params, other, _solved(other, params))  # two targets, one matrix
     assert _solved(target, params) == solved
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_oracle_problems(), min_size=2, max_size=3), st.data())
+def test_the_memo_never_gives_a_stale_answer(problems, data):
+    # Solve and pi calls over 2-3 parameter lists, interleaved at random:
+    # each answer is the one the same call gives with the memo reset.
+    calls = [(_solved, target, params) for params, targets in problems for target in targets]
+    calls += [(pi_basis, params) for params, _ in problems]
+    expected = []
+    for call, *args in calls:
+        _reset_memo()
+        expected.append(call(*args))
+    order = data.draw(st.lists(st.integers(0, len(calls) - 1), min_size=1, max_size=12))
+    for i in order:
+        call, *args = calls[i]
+        assert call(*args) == expected[i]
 
 
 @pytest.mark.parametrize(
@@ -986,20 +1005,30 @@ def test_monomials_render_alike(render, expected):
 # ---------------------------------------------------------------------------
 # one elimination per parameter list
 
-def test_one_parameter_list_is_eliminated_once_for_solve_and_pi():
+def test_one_parameter_list_is_eliminated_once_for_solve_and_pi(monkeypatch):
     params = [("E", ENERGY), ("rho", DENSITY), ("t", TIME)]
-    algebra._elimination.cache_clear()
+    real, eliminations = algebra._elimination, []
+
+    def recorded(*args):
+        eliminations.append(real(*args))
+        return eliminations[-1]
+
+    monkeypatch.setattr(algebra, "_elimination", recorded)
     solved = solve_target_exponents(LENGTH, params, "r")
     assert solved == ScalingRelation("r", {"E": "1/5", "rho": "-1/5", "t": "2/5"})
     assert pi_basis(params) == []
-    info = algebra._elimination.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert eliminations[1] is eliminations[0]  # pi read the solve's elimination
 
-    # Pairs given as lists, or as a generator, key the same entry.
+    # Pairs given as lists, or as a generator, are the same list; a second
+    # solve eliminates again.
     assert solve_target_exponents(LENGTH, [list(pair) for pair in params], "r") == solved
     assert pi_basis(pair for pair in params) == []
-    info = algebra._elimination.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert eliminations[3] is eliminations[2] is not eliminations[0]
+
+    # A pi on another list eliminates that list, without a target column.
+    assert [g.render() for g in pi_basis(params + [("r", LENGTH)])] == ["pi: E rho^-1 t^2 r^-5"]
+    assert eliminations[4] is not eliminations[3]
+    assert len(eliminations[4][3][0]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1036,12 +1065,13 @@ def _cache_work(seed):
 
 
 def test_shared_caches_give_the_serial_answers_under_threads():
-    # The token table, the elimination, the evaluation plans and the
+    # The token table, the elimination memo, the evaluation plans and the
     # coherent units start empty, and 8 threads fill them at once.
     seeds = range(16)
     serial = [_cache_work(seed) for seed in seeds]
     REG._tokens.clear()
-    for cache in (algebra._elimination, algebra._evaluation_plan, coherent_unit):
+    _reset_memo()
+    for cache in (algebra._evaluation_plan, coherent_unit):
         cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

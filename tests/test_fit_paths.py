@@ -22,6 +22,7 @@ import contextlib
 import io
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ pytestmark = pytest.mark.usefixtures("numpy_path")
 # or more in numpy.
 ROWS = 60_000
 REG = default_registry()
-FT, G, KG, M, W, YR = (REG.symbol(s) for s in ("ft", "g", "kg", "m", "W", "yr"))
+FT, G, KG, M, S, W, YR = (REG.symbol(s) for s in ("ft", "g", "kg", "m", "s", "W", "yr"))
 
 COEFFICIENT_TOL = 3e-8  # of the largest coefficient's magnitude
 COVARIANCE_TOL = 1e-7  # of sqrt(var_i var_j)
@@ -156,6 +157,41 @@ def test_both_paths_refuse_a_table_alike(monkeypatch, columns, spec, message):
     floats, arrays = on_both_paths(monkeypatch, lambda: regression.fit(ds, spec))
     assert floats == arrays
     assert floats[1] == message
+
+
+def covariate_table(exponent):
+    """5 rows of y on x, with a covariate ``c`` of 1, 3, 2, 5, 4 times 10**exponent."""
+    c = [float(f"{mantissa}e{exponent}") for mantissa in (1, 3, 2, 5, 4)]
+    return regression.DataSet({"x": ([1.0, 2.0, 3.0, 4.0, 5.0], M),
+                               "y": ([2.1, 7.9, 18.2, 31.7, 50.3], KG), "c": (c, S)})
+
+
+COVARIATE_SPEC = regression.ModelSpec("y", KG, "x", M, covariates=(("c", S),))
+
+
+@pytest.mark.parametrize(
+    "exponent, message",
+    [(-170, "the variance of delta[c] overflows a float"),
+     (160, "the variance of delta[c] underflows a float")],
+    ids=["tiny", "huge"],
+)
+def test_both_paths_refuse_a_covariate_whose_variance_leaves_the_float_range(
+        monkeypatch, exponent, message):
+    ds = covariate_table(exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = on_both_paths(monkeypatch, lambda: regression.fit(ds, COVARIATE_SPEC))
+    assert outcomes == [(DataError, message)] * 2
+
+
+@pytest.mark.parametrize("exponent", [-150, 150])
+def test_both_paths_fit_a_covariate_near_the_float_range_alike(monkeypatch, exponent):
+    ds = covariate_table(exponent)
+    floats, arrays = on_both_paths(monkeypatch, lambda: regression.fit(ds, COVARIATE_SPEC))
+    (delta,), (other,) = floats.covariate_coefficients, arrays.covariate_coefficients
+    assert delta.value == pytest.approx(-1.08767 * 10.0 ** (-2 - exponent), rel=1e-5)
+    assert delta.stderr == pytest.approx(1.17416 * 10.0 ** (-2 - exponent), rel=1e-5)
+    assert (other.value, other.stderr) == pytest.approx((delta.value, delta.stderr), rel=1e-12)
 
 
 def plot_table(first_y):

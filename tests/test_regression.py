@@ -551,6 +551,18 @@ def test_a_residual_of_rounding_noise_is_on_the_fit(space):
     assert residual_distance_ratio(rows[4], rows[0], fitted, space) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize(
+    "x, ending", [(1e300, "overflows a float"), (1e-300, "underflows a float to 0")],
+    ids=["overflow", "underflow"],
+)
+def test_a_fitted_value_beyond_the_float_range_is_a_data_error(x, ending):
+    # About y = x^2, so the fitted log at x = 1e+-300 is about +-1381.
+    rows, fitted = rows_and_fit(([1.0, 2.0, 4.0, 8.0], [1.0, 4.1, 15.9, 64.2]))
+    with pytest.raises(DataError) as info:
+        fitted.predict(Quantity(x, M))
+    assert str(info.value) == f"the fitted 'y' at {x:g} m {ending}"
+
+
 def test_requires_pure_power_law():
     ds, spec, fit = quadratic_fit()
     point = (parse_quantity("1 kg"), parse_quantity("1 W"))
